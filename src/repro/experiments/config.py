@@ -1128,31 +1128,35 @@ class ScaleConfig:
                 f"num_queries ({self.num_queries!r}) must be at least the "
                 f"pod count ({self.pods!r})"
             )
-        if self.load_factor <= 0:
-            raise ExperimentError(
-                f"load_factor must be positive, got {self.load_factor!r}"
-            )
-        if self.service_mean <= 0:
-            raise ExperimentError(
-                f"service_mean must be positive, got {self.service_mean!r}"
-            )
+        # A NaN or infinite rate would otherwise surface only inside a
+        # pod worker, as an arrival scheduled at a non-finite time.
+        for name, value in (
+            ("load_factor", self.load_factor),
+            ("service_mean", self.service_mean),
+        ):
+            if not math.isfinite(value) or value <= 0:
+                raise ExperimentError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
         if self.ecmp_hash not in ("rendezvous", "modulo"):
             raise ExperimentError(
                 f"unknown ecmp_hash {self.ecmp_hash!r}: expected "
                 "'rendezvous' or 'modulo'"
             )
-        if self.boundary_latency < 0:
+        if not math.isfinite(self.boundary_latency) or self.boundary_latency < 0:
             raise ExperimentError(
-                "boundary_latency must be non-negative, got "
+                "boundary_latency must be non-negative and finite, got "
                 f"{self.boundary_latency!r}"
             )
         if self.max_windows < 1:
             raise ExperimentError(
                 f"max_windows must be positive, got {self.max_windows!r}"
             )
-        if self.saturation_rate is not None and self.saturation_rate <= 0:
+        if self.saturation_rate is not None and (
+            not math.isfinite(self.saturation_rate) or self.saturation_rate <= 0
+        ):
             raise ExperimentError(
-                "saturation_rate must be positive, got "
+                "saturation_rate must be positive and finite, got "
                 f"{self.saturation_rate!r}"
             )
 

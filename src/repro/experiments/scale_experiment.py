@@ -51,7 +51,11 @@ from repro.experiments.scenario import (
 )
 from repro.metrics.collector import ResponseTimeCollector
 from repro.net.channel import FrameSender
-from repro.net.ecmp import select_next_hop_name
+from repro.net.ecmp import (
+    five_tuple_text,
+    select_next_hop_indices,
+    select_next_hop_name,
+)
 from repro.net.packet import FlowKey
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
 from repro.sim.partition import (
@@ -97,33 +101,39 @@ def pod_of_port(config: ScaleConfig, port: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _pod_table_cached(pod_names: Tuple[str, ...], ecmp_hash: str) -> np.ndarray:
-    table = np.empty(EPHEMERAL_PORT_RANGE, dtype=np.int64)
-    for offset in range(EPHEMERAL_PORT_RANGE):
-        name = select_next_hop_name(
-            pod_names,
-            FlowKey(
-                _FRONTEND_CLIENT,
-                EPHEMERAL_PORT_BASE + offset,
-                _FRONTEND_VIP,
-                HTTP_PORT,
-            ),
-            ecmp_hash,
-        )
-        table[offset] = pod_names.index(name)
-    return table
+def _pod_table_cached(
+    pod_names: Tuple[str, ...], ecmp_hash: str, ports: int
+) -> np.ndarray:
+    return select_next_hop_indices(
+        pod_names,
+        (
+            five_tuple_text(
+                _FRONTEND_CLIENT, EPHEMERAL_PORT_BASE + offset, _FRONTEND_VIP, HTTP_PORT
+            )
+            for offset in range(ports)
+        ),
+        ecmp_hash,
+    )
 
 
 def _pod_by_port_table(config: ScaleConfig) -> np.ndarray:
-    """Pod assignment for every possible modeled port (vectorization aid).
+    """Pod assignment of every modeled port the run uses (vectorization aid).
 
     Only ``EPHEMERAL_PORT_RANGE`` distinct flow keys exist, so the
     per-query hash reduces to one table lookup — the difference between
-    hashing 50k keys and hashing every query of a million-query run.
-    The table depends only on the pod names and hash scheme, so it is
-    memoized per process (every pod worker of a run shares it).
+    hashing at most 50k keys and hashing every query of a million-query
+    run.  Entry ``offset`` is the pod of port
+    ``EPHEMERAL_PORT_BASE + offset``; a run of fewer queries than the
+    range only indexes (and hashes) its first ``num_queries`` ports.
+    The table depends only on the pod names, the hash scheme and that
+    port count, so it is memoized per process: each partition worker
+    process builds its own, and the pods a process runs share it.
     """
-    return _pod_table_cached(config.pod_names(), config.ecmp_hash)
+    return _pod_table_cached(
+        config.pod_names(),
+        config.ecmp_hash,
+        min(config.num_queries, EPHEMERAL_PORT_RANGE),
+    )
 
 
 def make_scale_stream(

@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import RoutingError
 from repro.net.addressing import IPv6Address
@@ -45,16 +48,62 @@ HASH_SCHEMES = ("rendezvous", "modulo")
 
 def five_tuple_key(flow_key: FlowKey, protocol: str = "tcp") -> str:
     """Canonical 5-tuple string an ECMP router hashes a packet on."""
-    return (
-        f"{protocol}|{flow_key.src_address}|{flow_key.src_port}|"
-        f"{flow_key.dst_address}|{flow_key.dst_port}"
+    return five_tuple_text(
+        flow_key.src_address,
+        flow_key.src_port,
+        flow_key.dst_address,
+        flow_key.dst_port,
+        protocol,
     )
 
 
-def _hash64(data: str, salt: str) -> int:
-    """Stable 64-bit hash (process-independent, like the Maglev table's)."""
-    digest = hashlib.sha256(f"{salt}:{data}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+def five_tuple_text(
+    src_address: object,
+    src_port: int,
+    dst_address: object,
+    dst_port: int,
+    protocol: str = "tcp",
+) -> str:
+    """:func:`five_tuple_key` from the tuple's fields, without a FlowKey.
+
+    Offline tools that hash many synthetic flows (the scale family's
+    port table) use it to skip building a :class:`FlowKey` per key.
+    """
+    return f"{protocol}|{src_address}|{src_port}|{dst_address}|{dst_port}"
+
+
+#: Keys the batch kernel scores per block: enough to amortize the numpy
+#: calls, small enough that a block's digests stay a few hundred KB.
+HASH_BLOCK = 4096
+
+
+def _check_group(hop_names: Sequence[str], hash_scheme: str) -> None:
+    if not hop_names:
+        raise RoutingError("the ECMP group has no next hops")
+    if hash_scheme not in HASH_SCHEMES:
+        raise RoutingError(
+            f"unknown ECMP hash scheme {hash_scheme!r}: expected one of "
+            f"{HASH_SCHEMES}"
+        )
+
+
+def _salt_prefixes(sorted_names: Sequence[str], hash_scheme: str) -> List[bytes]:
+    """The salt bytes hashed ahead of a key, one per score column.
+
+    ``modulo`` scores a key once, whatever the hop; ``rendezvous`` scores
+    it once per (name-sorted) hop.  A score is the first 8 bytes, big
+    endian, of ``sha256(prefix + key bytes)``.  The scalar selector and
+    the batch kernel both take their salts from here and their key bytes
+    from :func:`_key_bytes`, so the data plane and offline tooling cannot
+    drift apart.
+    """
+    if hash_scheme == "modulo":
+        return [b"ecmp-modulo:"]
+    return [f"ecmp-hrw:{name}:".encode("utf-8") for name in sorted_names]
+
+
+def _key_bytes(key: str) -> bytes:
+    return key.encode("utf-8")
 
 
 def select_next_hop_name(
@@ -70,20 +119,68 @@ def select_next_hop_name(
     function so offline tooling — notably the hash-collision search in
     :mod:`repro.workload.hostile` — targets the very hash the data plane
     runs rather than a reimplementation that could silently drift.
+    :func:`select_next_hop_indices` is its batch form.
     """
-    if not hop_names:
-        raise RoutingError("the ECMP group has no next hops")
-    if hash_scheme not in HASH_SCHEMES:
-        raise RoutingError(
-            f"unknown ECMP hash scheme {hash_scheme!r}: expected one of "
-            f"{HASH_SCHEMES}"
-        )
-    key = five_tuple_key(flow_key, protocol)
+    _check_group(hop_names, hash_scheme)
     names = sorted(hop_names)
+    key = _key_bytes(five_tuple_key(flow_key, protocol))
+    scores = [
+        int.from_bytes(hashlib.sha256(prefix + key).digest()[:8], "big")
+        for prefix in _salt_prefixes(names, hash_scheme)
+    ]
     if hash_scheme == "modulo":
-        return names[_hash64(key, "ecmp-modulo") % len(names)]
-    # Rendezvous (HRW): every hop scores the key; the highest wins.
-    return max(names, key=lambda name: _hash64(key, f"ecmp-hrw:{name}"))
+        return names[scores[0] % len(names)]
+    # Rendezvous (HRW): every hop scores the key; the highest wins, the
+    # first in name order on a tie.
+    return names[scores.index(max(scores))]
+
+
+def select_next_hop_indices(
+    hop_names: Sequence[str],
+    keys: Iterable[str],
+    hash_scheme: str = "rendezvous",
+) -> np.ndarray:
+    """Batch form of :func:`select_next_hop_name`: the winner per key.
+
+    ``keys`` are canonical 5-tuple strings (:func:`five_tuple_key` or
+    :func:`five_tuple_text`).  Entry ``i`` of the returned ``int64``
+    array is ``hop_names.index(select_next_hop_name(hop_names, flow_i,
+    hash_scheme))`` for the flow ``keys[i]`` was formatted from.  Keys
+    are consumed ``HASH_BLOCK`` at a time: each block gets one SHA-256
+    digest per (key, score column), with the 8-byte scores written into
+    one preallocated ``uint64`` array, so memory stays flat however many
+    keys stream through.
+    """
+    _check_group(hop_names, hash_scheme)
+    names = sorted(hop_names)
+    prefixes = _salt_prefixes(names, hash_scheme)
+    order = list(hop_names)
+    # Caller-order position of each sorted name (first occurrence, like
+    # ``list.index``).
+    position = np.array([order.index(name) for name in names], dtype=np.int64)
+    scores = np.empty((HASH_BLOCK, len(prefixes)), dtype=np.uint64)
+    sha256 = hashlib.sha256
+    stream = iter(keys)
+    picks: List[np.ndarray] = []
+    while True:
+        block = [_key_bytes(key) for key in islice(stream, HASH_BLOCK)]
+        if not block:
+            break
+        rows = scores[: len(block)]
+        for column, prefix in enumerate(prefixes):
+            digests = b"".join([sha256(prefix + key).digest() for key in block])
+            # Every 32-byte digest is four big-endian words; the score is
+            # the first.
+            rows[:, column] = np.frombuffer(digests, dtype=">u8")[::4]
+        if hash_scheme == "modulo":
+            winners = (rows[:, 0] % np.uint64(len(names))).astype(np.intp)
+        else:
+            # argmax keeps the first maximum: the scalar tie rule.
+            winners = np.argmax(rows, axis=1)
+        picks.append(position[winners])
+    if not picks:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(picks)
 
 
 @dataclass

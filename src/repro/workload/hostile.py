@@ -47,7 +47,12 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.net.addressing import IPv6Address
-from repro.net.ecmp import HASH_SCHEMES, select_next_hop_name
+from repro.net.ecmp import (
+    HASH_BLOCK,
+    HASH_SCHEMES,
+    five_tuple_key,
+    select_next_hop_indices,
+)
 from repro.net.packet import FlowKey, Packet, TCPFlag, TCPSegment
 from repro.net.router import NetworkNode
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
@@ -478,7 +483,10 @@ def find_colliding_flow_keys(
     A deterministic offline brute force: candidate (source, port) pairs
     are enumerated in a fixed order (source churn first, then ports) and
     kept iff :func:`repro.net.ecmp.select_next_hop_name` — the data
-    plane's own selector — maps them to the target.  With *k* hops the
+    plane's own selector — maps them to the target.  Candidates are
+    scored in blocks by its batch form,
+    :func:`repro.net.ecmp.select_next_hop_indices`, and the search stops
+    at the ``count``-th hit in enumeration order.  With *k* hops the
     expected hit rate is 1/k, so the search is cheap; ``max_candidates``
     bounds it against pathological arguments.
 
@@ -499,6 +507,7 @@ def find_colliding_flow_keys(
         raise WorkloadError("the collision search needs at least one source")
     if count <= 0:
         raise WorkloadError(f"collision count must be positive, got {count!r}")
+    target = list(hop_names).index(target_hop)
     found: List[FlowKey] = []
     candidate = 0
     while len(found) < count:
@@ -507,13 +516,27 @@ def find_colliding_flow_keys(
                 f"collision search exhausted {max_candidates} candidates "
                 f"with only {len(found)}/{count} hits on {target_hop!r}"
             )
-        src = source_addresses[candidate % len(source_addresses)]
-        port = (
-            first_port
-            + (candidate // len(source_addresses)) % EPHEMERAL_PORT_RANGE
+        # With k hops about one candidate in k hits, so a block of
+        # (hits still needed) x k usually finishes the search.
+        size = min(
+            HASH_BLOCK,
+            max_candidates - candidate,
+            (count - len(found)) * len(hop_names),
         )
-        flow = FlowKey(src, port, vip, dst_port)
-        if select_next_hop_name(hop_names, flow, hash_scheme) == target_hop:
-            found.append(flow)
-        candidate += 1
+        flows = [
+            FlowKey(
+                source_addresses[index % len(source_addresses)],
+                first_port
+                + (index // len(source_addresses)) % EPHEMERAL_PORT_RANGE,
+                vip,
+                dst_port,
+            )
+            for index in range(candidate, candidate + size)
+        ]
+        picks = select_next_hop_indices(
+            hop_names, [five_tuple_key(flow) for flow in flows], hash_scheme
+        )
+        for row in np.flatnonzero(picks == target)[: count - len(found)]:
+            found.append(flows[row])
+        candidate += size
     return tuple(found)

@@ -8,6 +8,7 @@ from repro.experiments import registry
 from repro.experiments.config import ScaleConfig, TestbedConfig
 from repro.experiments.scale_experiment import (
     SCALE_SCENARIO,
+    _pod_by_port_table,
     frontend_port_of,
     make_pod_trace,
     make_scale_stream,
@@ -15,7 +16,7 @@ from repro.experiments.scale_experiment import (
     run_scale,
     run_scale_scenario,
 )
-from repro.net.tcp import EPHEMERAL_PORT_BASE
+from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,24 @@ class TestScaleConfig:
         with pytest.raises(ExperimentError):
             ScaleConfig(**kwargs)
 
+    # Non-finite inputs must fail at construction, not later inside a
+    # pod worker as an arrival scheduled at a non-finite time.
+    def test_nan_load_factor_rejected(self):
+        with pytest.raises(ExperimentError, match="load_factor"):
+            ScaleConfig(load_factor=float("nan"))
+
+    def test_infinite_service_mean_rejected(self):
+        with pytest.raises(ExperimentError, match="service_mean"):
+            ScaleConfig(service_mean=float("inf"))
+
+    def test_nan_boundary_latency_rejected(self):
+        with pytest.raises(ExperimentError, match="boundary_latency"):
+            ScaleConfig(boundary_latency=float("nan"))
+
+    def test_nan_saturation_rate_rejected(self):
+        with pytest.raises(ExperimentError, match="saturation_rate"):
+            ScaleConfig(saturation_rate=float("nan"))
+
 
 class TestFrontendSharding:
     def test_ports_cycle_over_the_ephemeral_range(self):
@@ -80,6 +99,29 @@ class TestFrontendSharding:
             assert pods[index] == pod_of_port(
                 small_config, frontend_port_of(index)
             )
+
+    @pytest.mark.parametrize(
+        "pods, num_queries", [(4, EPHEMERAL_PORT_RANGE), (3, 2_000)]
+    )
+    @pytest.mark.parametrize("scheme", ["rendezvous", "modulo"])
+    def test_port_table_equals_the_scalar_hash_for_every_port(
+        self, pods, num_queries, scheme
+    ):
+        config = ScaleConfig(pods=pods, num_queries=num_queries, ecmp_hash=scheme)
+        table = _pod_by_port_table(config)
+        assert table.shape == (num_queries,)
+        expected = [
+            pod_of_port(config, EPHEMERAL_PORT_BASE + offset)
+            for offset in range(num_queries)
+        ]
+        np.testing.assert_array_equal(table, expected)
+
+    def test_port_table_covers_only_the_ports_a_run_indexes(self):
+        small = _pod_by_port_table(ScaleConfig(num_queries=1_000))
+        large = _pod_by_port_table(ScaleConfig(num_queries=3 * EPHEMERAL_PORT_RANGE))
+        assert small.size == 1_000
+        assert large.size == EPHEMERAL_PORT_RANGE
+        np.testing.assert_array_equal(small, large[:1_000])
 
     def test_pod_traces_partition_the_aggregate_stream(self, small_config):
         seen = {}

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import RoutingError
 from repro.net.addressing import IPv6Address
-from repro.net.ecmp import EcmpEdgeRouter, five_tuple_key
+from repro.net.ecmp import EcmpEdgeRouter, five_tuple_key, five_tuple_text
 from repro.net.fabric import LANFabric
 from repro.net.packet import FlowKey, Packet, TCPFlag, TCPSegment, make_syn
 from repro.net.router import NetworkNode
@@ -157,3 +157,4 @@ class TestForwarding:
         key = five_tuple_key(_flow(1234))
         assert key.startswith("tcp|")
         assert str(CLIENT) in key and str(VIP) in key and "1234" in key
+        assert five_tuple_text(CLIENT, 1234, VIP, 80) == key

@@ -6,6 +6,8 @@ import pytest
 from repro.errors import WorkloadError
 from repro.metrics.collector import ResponseTimeCollector
 from repro.net.addressing import CLIENT_PREFIX, VIP_PREFIX
+from repro.net.ecmp import select_next_hop_name
+from repro.net.packet import FlowKey
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE
 from repro.workload.hostile import (
     HeavyTailWorkload,
@@ -19,6 +21,28 @@ from repro.workload.requests import KIND_HEAVY, KIND_SESSION, Request
 from repro.workload.trace import Trace
 
 VIP = VIP_PREFIX.address_at(1)
+
+
+def _scalar_collision_search(hops, target, sources, count, scheme, max_candidates):
+    """Reference brute force, one candidate and one scalar hash at a time.
+
+    Returns the first ``count`` hits among the first ``max_candidates``
+    candidates (fewer when the candidates run out).
+    """
+    found = []
+    for candidate in range(max_candidates):
+        if len(found) == count:
+            break
+        flow = FlowKey(
+            sources[candidate % len(sources)],
+            EPHEMERAL_PORT_BASE
+            + (candidate // len(sources)) % EPHEMERAL_PORT_RANGE,
+            VIP,
+            80,
+        )
+        if select_next_hop_name(hops, flow, scheme) == target:
+            found.append(flow)
+    return tuple(found)
 
 
 class TestHeavyTailWorkload:
@@ -220,4 +244,34 @@ class TestFloodGenerators:
         with pytest.raises(WorkloadError, match="exhausted"):
             find_colliding_flow_keys(
                 ["a", "b", "c", "d"], "a", VIP, sources, 50, max_candidates=8
+            )
+
+    @pytest.mark.parametrize("scheme", ["rendezvous", "modulo"])
+    @pytest.mark.parametrize(
+        "hops, target",
+        [(["lb-0", "lb-1", "lb-2", "lb-3"], "lb-2"), (["b", "a", "edge-9"], "a")],
+    )
+    @pytest.mark.parametrize("count", [1, 7, 300])
+    def test_collision_search_equals_a_scalar_brute_force(
+        self, hops, target, scheme, count
+    ):
+        sources = [CLIENT_PREFIX.address_at(10_000 + index) for index in range(5)]
+        expected = _scalar_collision_search(
+            hops, target, sources, count, scheme, max_candidates=1_000_000
+        )
+        assert find_colliding_flow_keys(
+            hops, target, VIP, sources, count, hash_scheme=scheme
+        ) == expected
+
+    @pytest.mark.parametrize("scheme", ["rendezvous", "modulo"])
+    def test_collision_search_exhausts_where_the_brute_force_does(self, scheme):
+        hops = ["lb-0", "lb-1", "lb-2", "lb-3"]
+        sources = [CLIENT_PREFIX.address_at(7)]
+        hits = _scalar_collision_search(hops, "lb-1", sources, 1_000, scheme, 40)
+        with pytest.raises(
+            WorkloadError, match=f"exhausted 40 candidates with only {len(hits)}/1000"
+        ):
+            find_colliding_flow_keys(
+                hops, "lb-1", VIP, sources, 1_000, hash_scheme=scheme,
+                max_candidates=40,
             )
