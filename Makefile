@@ -23,6 +23,11 @@
 #                              committed BENCH_PERF.json baseline (±30% tolerance)
 #   make profile             - cProfile the poisson-high-load perf cell; writes the
 #                              top-25 cumulative listing under benchmarks/profiles/
+#   make perf-ab BASE=<rev>  - interleaved A/B of perfbench/run.py: BASE (exported
+#                              with git archive) vs this working tree, over
+#                              PAIRS pairs, alternating which side runs first;
+#                              medians, wins and a bootstrap CI of
+#                              the ratio per metric (tools/perf_ab.py)
 #   make build-fast          - compile the simulator run loop with mypyc (optional;
 #                              prints a notice and succeeds when mypyc is missing).
 #                              Enable the result with REPRO_COMPILED=1.
@@ -35,7 +40,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 BENCH_OPTS := -o python_files='bench_*.py' -o python_functions='bench_*'
 
-.PHONY: test lint coverage bench bench-smoke bench-smoke-parallel scale-smoke chaos-smoke telemetry-smoke docs-check perf perf-smoke profile build-fast
+.PHONY: test lint coverage bench bench-smoke bench-smoke-parallel scale-smoke chaos-smoke telemetry-smoke docs-check perf perf-smoke perf-ab profile build-fast
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -88,6 +93,16 @@ perf-smoke:
 profile:
 	$(PYTHON) benchmarks/bench_perf_hotpath.py --profile smoke --cell poisson-high-load \
 		--cprofile benchmarks/profiles --no-save
+
+# Same-machine interleaved A/B of the scenario benchmark against a base
+# revision.  WORKLOAD may name one workload (default: all three);
+# RUN_SECONDS (per run) and PAIRS size the comparison.
+PAIRS ?= 10
+RUN_SECONDS ?= 25
+perf-ab:
+	@if [ -z "$(BASE)" ]; then echo "usage: make perf-ab BASE=<rev> [WORKLOAD=ecmp-chaos] [PAIRS=10] [RUN_SECONDS=25]"; exit 2; fi
+	$(PYTHON) tools/perf_ab.py --base $(BASE) --pairs $(PAIRS) --seconds $(RUN_SECONDS) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # Optional compiled run loop (repro.sim._fastloop_c, used only under
 # REPRO_COMPILED=1).  Skips with a notice when mypyc is not installed;

@@ -11,9 +11,10 @@ This module makes the hop explicit.  A *delivery channel* accepts
 sink after the delay:
 
 * :class:`InProcessChannel` is the default and reproduces the historical
-  behaviour exactly — one ``schedule_in`` call per packet with the same
-  delay and the same (interned) label, so event ordering is bit-identical
-  to the pre-channel code.
+  behaviour exactly.  Each packet becomes one ``(sink, packet, guard)``
+  delivery record on the simulator heap, with the same delay check and
+  the same draw from the sequence counter as a ``schedule_in`` call, so
+  event ordering is bit-identical to the pre-channel code.
 * :class:`PipeChannelSender` / :class:`PipeChannelReceiver` carry
   timestamped items between *partitions* (separate simulator processes)
   as pickled :class:`BatchFrame` messages over ``multiprocessing`` pipes.
@@ -35,9 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, SchedulingError
 from repro.sim.engine import Simulator
 
 
@@ -69,18 +71,24 @@ class DeliveryChannel(Protocol):
 class InProcessChannel:
     """Channel between components sharing one simulator.
 
-    ``deliver`` performs exactly one ``schedule_in`` call with the given
-    delay and label, so runs through this channel are bit-identical to
-    the historical direct-``receive`` scheduling (same event times, same
-    FIFO sequence numbers, same labels).
+    ``deliver`` pushes one ``(time, seq, (sink, packet, guard))`` entry
+    onto the simulator's heap, which the run loop dispatches inline.  The
+    time and sequence number are exactly those a ``schedule_in(delay,
+    ...)`` call would take, so runs through this channel are
+    bit-identical to the historical direct-``receive`` scheduling (same
+    event times, same FIFO sequence numbers).  The label only names the
+    hop in the error raised for a bad delay.
     """
 
-    __slots__ = ("_simulator", "_schedule")
+    __slots__ = ("_simulator", "_clock", "_heap", "_sequence")
 
     def __init__(self, simulator: Simulator) -> None:
         self._simulator = simulator
-        # Bound method cached once: deliver() runs per packet hop.
-        self._schedule = simulator._schedule_delivery
+        # Bound once: deliver() runs per packet hop.  The simulator never
+        # rebinds these (heap compaction and drain work in place).
+        self._clock = simulator.clock
+        self._heap = simulator._heap
+        self._sequence = simulator._sequence
 
     def deliver(
         self,
@@ -90,18 +98,14 @@ class InProcessChannel:
         label: str,
         guard: Optional[DeliveryGuard] = None,
     ) -> None:
-        # Deliveries are fire-and-forget (never cancelled), so they use
-        # the simulator's handle-free scheduling fast path; validation
-        # and event ordering are identical to schedule_in.
-        if guard is None:
-            self._schedule(delay, lambda: sink.receive(packet), label)
-        else:
-
-            def _deliver() -> None:
-                if guard():
-                    sink.receive(packet)
-
-            self._schedule(delay, _deliver, label)
+        time = self._clock._now + delay
+        # Negative, NaN and infinite delays all fail here (the clock is
+        # always finite), as they do in Simulator.schedule_in.
+        if not (delay >= 0.0 and math.isfinite(time)):
+            raise SchedulingError(
+                f"cannot schedule delivery {label!r} with delay {delay!r}"
+            )
+        heappush(self._heap, (time, next(self._sequence), (sink, packet, guard)))
 
 
 class PooledInProcessChannel:

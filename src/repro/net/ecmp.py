@@ -106,6 +106,28 @@ def _key_bytes(key: str) -> bytes:
     return key.encode("utf-8")
 
 
+def _pick(prefixes: Sequence[bytes], hop_count: int, key: bytes) -> int:
+    """Name-order index of the hop ``key`` hashes to.
+
+    ``prefixes`` come from :func:`_salt_prefixes` over the ``hop_count``
+    name-sorted hops; one prefix means ``modulo`` (with a single hop both
+    schemes pick index 0).  Rendezvous keeps the first maximum on a tie,
+    as ``argmax`` does in the batch kernel.
+    """
+    sha256 = hashlib.sha256
+    if len(prefixes) == 1:
+        score = int.from_bytes(sha256(prefixes[0] + key).digest()[:8], "big")
+        return score % hop_count
+    best_index = 0
+    best = -1
+    for index, prefix in enumerate(prefixes):
+        score = int.from_bytes(sha256(prefix + key).digest()[:8], "big")
+        if score > best:
+            best = score
+            best_index = index
+    return best_index
+
+
 def select_next_hop_name(
     hop_names: Sequence[str],
     flow_key: FlowKey,
@@ -124,15 +146,7 @@ def select_next_hop_name(
     _check_group(hop_names, hash_scheme)
     names = sorted(hop_names)
     key = _key_bytes(five_tuple_key(flow_key, protocol))
-    scores = [
-        int.from_bytes(hashlib.sha256(prefix + key).digest()[:8], "big")
-        for prefix in _salt_prefixes(names, hash_scheme)
-    ]
-    if hash_scheme == "modulo":
-        return names[scores[0] % len(names)]
-    # Rendezvous (HRW): every hop scores the key; the highest wins, the
-    # first in name order on a tie.
-    return names[scores.index(max(scores))]
+    return names[_pick(_salt_prefixes(names, hash_scheme), len(names), key)]
 
 
 def select_next_hop_indices(
@@ -253,6 +267,10 @@ class EcmpEdgeRouter(NetworkNode):
         #: group.  Bounded by the number of distinct 5-tuples seen
         #: between membership changes.
         self._hop_cache: Dict[FlowKey, NetworkNode] = {}
+        #: The group's hash plan, ``(salt prefixes, name-sorted hops)``:
+        #: what a cache miss needs besides the key.  Built on the first
+        #: miss and dropped together with ``_hop_cache``.
+        self._hash_plan: Optional[Tuple[List[bytes], Tuple[NetworkNode, ...]]] = None
         #: Interned per-hop event labels (one f-string per hop, not per
         #: packet).
         self._spread_labels: Dict[str, str] = {}
@@ -270,7 +288,7 @@ class EcmpEdgeRouter(NetworkNode):
             raise RoutingError(f"next hop {node.name!r} is already in the ECMP group")
         self._next_hops.append(node)
         self._next_hops.sort(key=lambda hop: hop.name)
-        self._hop_cache.clear()
+        self._drop_hash_state()
         self.stats.membership_changes += 1
 
     def remove_next_hop(self, name: str) -> bool:
@@ -278,7 +296,7 @@ class EcmpEdgeRouter(NetworkNode):
         before = len(self._next_hops)
         self._next_hops = [hop for hop in self._next_hops if hop.name != name]
         if len(self._next_hops) != before:
-            self._hop_cache.clear()
+            self._drop_hash_state()
             self.stats.membership_changes += 1
             return True
         return False
@@ -300,8 +318,12 @@ class EcmpEdgeRouter(NetworkNode):
         return.
         """
         dropped = len(self._hop_cache)
-        self._hop_cache.clear()
+        self._drop_hash_state()
         return dropped
+
+    def _drop_hash_state(self) -> None:
+        self._hop_cache.clear()
+        self._hash_plan = None
 
     def register_vip(self, vip: IPv6Address) -> None:
         """Advertise a VIP at the edge (exact binding on this router)."""
@@ -331,18 +353,19 @@ class EcmpEdgeRouter(NetworkNode):
         hop = self._hop_cache.get(flow_key)
         if hop is not None:
             return hop
-        # Delegate to the pure selector so the data plane and offline
-        # tooling (the hostile-workload collision search) share one
-        # implementation.  _next_hops is kept name-sorted, so positions
-        # line up with the selector's sorted name list.
-        name = select_next_hop_name(
-            [candidate.name for candidate in self._next_hops],
-            flow_key,
-            self.hash_scheme,
-        )
-        hop = next(
-            candidate for candidate in self._next_hops if candidate.name == name
-        )
+        # Score through the same helper as the pure selector, so the data
+        # plane and offline tooling (the hostile-workload collision
+        # search) share one implementation.  _next_hops is kept
+        # name-sorted, so plan positions line up with the selector's
+        # sorted name list.
+        plan = self._hash_plan
+        if plan is None:
+            hops = tuple(self._next_hops)
+            prefixes = _salt_prefixes([hop.name for hop in hops], self.hash_scheme)
+            plan = self._hash_plan = (prefixes, hops)
+        prefixes, hops = plan
+        key = _key_bytes(five_tuple_key(flow_key))
+        hop = hops[_pick(prefixes, len(hops), key)]
         self._hop_cache[flow_key] = hop
         return hop
 

@@ -23,6 +23,7 @@ from repro.net.addressing import IPv6Address, IPv6Prefix
 from repro.net.channel import DeliveryChannel, InProcessChannel
 from repro.net.packet import IPV6_HEADER_SIZE, TCP_HEADER_SIZE, Packet
 from repro.net.router import RoutingTable
+from repro.net.srh import SRH_FIXED_SIZE, SRH_SEGMENT_SIZE
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -233,8 +234,9 @@ class LANFabric:
         # resolve() an uncached send would — exact binding first, prefix
         # fallback second — and the memo is cleared on every topology
         # mutation, so hits and misses are indistinguishable.  The
-        # hop-limit exception machinery and the Packet.size_bytes() call
-        # are inlined for the same once-per-packet-hop reason.
+        # hop-limit exception machinery and the Packet.size_bytes() and
+        # SegmentRoutingHeader.size_bytes() calls are inlined for the
+        # same once-per-packet-hop reason.
         dst = packet._dst
         route = self._send_routes.get(dst)
         if route is None:
@@ -291,7 +293,7 @@ class LANFabric:
         srh = packet.srh
         size = IPV6_HEADER_SIZE + TCP_HEADER_SIZE + packet.tcp.payload_size
         if srh is not None:
-            size += srh.size_bytes()
+            size += SRH_FIXED_SIZE + SRH_SEGMENT_SIZE * len(srh.segments)
         stats.bytes_delivered += size
         per_node = stats.deliveries_per_node
         per_node[name] = per_node.get(name, 0) + 1

@@ -28,13 +28,16 @@ Each randomized injector draws from its **own** named
 the draws of any other component — the same isolation contract the
 candidate selector and the workload generators already rely on.
 
-A *disabled* injector (zero rate / zero mean / empty schedule) returns
-immediately without drawing a single random value, and the pipeline
-forwards ``deliver`` with the delay object untouched.  An all-disabled
-pipeline is therefore **bit-identical** to the bare inner channel: same
-event times, same FIFO sequence numbers, same labels, same RNG states —
-pinned by the hypothesis property test in
-``tests/test_faults_property.py`` and by the ``chaos`` family's
+A *disabled* injector (zero rate / zero mean / empty schedule; its
+``enabled`` property is false) returns ``0.0`` without drawing a single
+random value, so :class:`FaultInjectionChannel` skips it altogether: it
+picks the enabled stages once, at construction, and runs only those per
+packet.  An all-disabled pipeline forwards ``deliver`` with the delay
+object untouched and is therefore **bit-identical** to the bare inner
+channel: same event times, same FIFO sequence numbers, same labels, same
+RNG states — pinned by the hypothesis property tests in
+``tests/test_faults_property.py`` (which also check enabled-only stages
+against a loop over all six injectors) and by the ``chaos`` family's
 ``baseline`` golden fingerprint.
 
 Accounting
@@ -55,7 +58,8 @@ unaffected, the pool just recycles one packet fewer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
@@ -84,6 +88,17 @@ class FaultInjector:
     #: for purely scheduled injectors).
     STREAM: Optional[str] = None
 
+    @property
+    def enabled(self) -> bool:
+        """Whether :meth:`assess` can drop, delay or draw at all.
+
+        ``False`` only when :meth:`assess` would return ``0.0`` for every
+        packet without touching the RNG, so a pipeline may skip the
+        stage.  The base class answers ``True``: an injector that does
+        not say is always run.
+        """
+        return True
+
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
         raise NotImplementedError
 
@@ -98,6 +113,10 @@ class IIDLossInjector(FaultInjector):
         _check_probability("loss rate", rate)
         self.rate = rate
         self._rng = rng
+
+    @property
+    def enabled(self) -> bool:
+        return self.rate > 0.0
 
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
         if self.rate <= 0.0:
@@ -118,6 +137,10 @@ class CorruptionInjector(FaultInjector):
         _check_probability("corruption rate", rate)
         self.rate = rate
         self._rng = rng
+
+    @property
+    def enabled(self) -> bool:
+        return self.rate > 0.0
 
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
         if self.rate <= 0.0:
@@ -161,6 +184,10 @@ class GilbertElliottLossInjector(FaultInjector):
         self.bad = False
         self._rng = rng
 
+    @property
+    def enabled(self) -> bool:
+        return self.enter > 0.0 or self.loss_good > 0.0
+
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
         if self.enter <= 0.0 and self.loss_good <= 0.0:
             return 0.0
@@ -188,13 +215,18 @@ class JitterInjector(FaultInjector):
     __slots__ = ("mean", "cap", "_rng")
 
     def __init__(self, rng: Any, mean: float, cap: float = 0.0) -> None:
-        if mean < 0.0:
+        # Written so that NaN fails too (every comparison with it is false).
+        if not mean >= 0.0:
             raise NetworkError(f"jitter mean must be non-negative, got {mean!r}")
-        if cap < 0.0:
+        if not cap >= 0.0:
             raise NetworkError(f"jitter cap must be non-negative, got {cap!r}")
         self.mean = mean
         self.cap = cap
         self._rng = rng
+
+    @property
+    def enabled(self) -> bool:
+        return self.mean > 0.0
 
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
         if self.mean <= 0.0:
@@ -220,7 +252,7 @@ class ReorderInjector(FaultInjector):
 
     def __init__(self, rng: Any, rate: float, window: float) -> None:
         _check_probability("reorder rate", rate)
-        if window < 0.0:
+        if not window >= 0.0:
             raise NetworkError(
                 f"reorder window must be non-negative, got {window!r}"
             )
@@ -231,6 +263,10 @@ class ReorderInjector(FaultInjector):
         self.rate = rate
         self.window = window
         self._rng = rng
+
+    @property
+    def enabled(self) -> bool:
+        return self.rate > 0.0
 
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
         if self.rate <= 0.0:
@@ -258,7 +294,7 @@ class LinkFlapInjector(FaultInjector):
         ordered = tuple((float(start), float(end)) for start, end in windows)
         previous_end = 0.0
         for start, end in ordered:
-            if start < 0.0 or end <= start:
+            if not 0.0 <= start < end:
                 raise NetworkError(
                     f"flap window must satisfy 0 <= start < end, got "
                     f"({start!r}, {end!r})"
@@ -271,6 +307,10 @@ class LinkFlapInjector(FaultInjector):
             previous_end = end
         self.windows = ordered
         self._cursor = 0
+
+    @property
+    def enabled(self) -> bool:
+        return bool(self.windows)
 
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
         windows = self.windows
@@ -289,7 +329,10 @@ class FaultConfig:
     """Declarative description of one fault pipeline.
 
     The all-zero default describes a pipeline that is constructed but
-    entirely disabled — bit-identical to no pipeline at all.
+    entirely disabled — bit-identical to no pipeline at all.  Every value
+    must be a number: NaN is rejected everywhere, and infinity everywhere
+    except a flap window's ``up_at``, where it means the link never comes
+    back.
     """
 
     #: Independent per-packet loss probability.
@@ -311,7 +354,29 @@ class FaultConfig:
     flap_windows: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        # Construction of throwaway injectors performs the full
+        # Non-finite values first, by field name: a NaN slips past most
+        # range checks, and an infinite jitter only fails mid-run, when
+        # the first delayed packet cannot be scheduled.
+        for spec in fields(self):
+            if spec.name == "flap_windows":
+                continue
+            value = getattr(self, spec.name)
+            if not math.isfinite(value):
+                raise NetworkError(
+                    f"FaultConfig.{spec.name} must be finite, got {value!r}"
+                )
+        for index, (down_at, up_at) in enumerate(self.flap_windows):
+            if not math.isfinite(down_at):
+                raise NetworkError(
+                    f"FaultConfig.flap_windows[{index}] down_at must be "
+                    f"finite, got {down_at!r}"
+                )
+            if math.isnan(up_at):
+                raise NetworkError(
+                    f"FaultConfig.flap_windows[{index}] up_at must not be "
+                    f"NaN (use inf for a permanent outage)"
+                )
+        # Construction of throwaway injectors performs the rest of the
         # validation; an invalid field raises here, not mid-run.
         build_injectors(None, self)
 
@@ -380,9 +445,13 @@ class FaultInjectionChannel:
     ``stats.packets_dropped`` plus the injector's reason counter);
     otherwise the injectors' extra delays are summed onto the hop delay
     and the packet is forwarded to the inner channel unchanged.
+
+    ``injectors`` keeps the whole pipeline; only the stages that are
+    ``enabled`` at construction run per packet.  Skipping the others is
+    exact: a disabled injector returns ``0.0`` and draws nothing.
     """
 
-    __slots__ = ("simulator", "inner", "injectors", "stats")
+    __slots__ = ("simulator", "inner", "injectors", "stats", "_stages", "_clock")
 
     def __init__(
         self,
@@ -393,6 +462,10 @@ class FaultInjectionChannel:
         self.simulator = simulator
         self.inner = inner
         self.injectors = tuple(injectors)
+        self._stages = tuple(
+            injector for injector in self.injectors if injector.enabled
+        )
+        self._clock = simulator.clock
         self.stats = LinkStats()
 
     @property
@@ -410,16 +483,18 @@ class FaultInjectionChannel:
     ) -> None:
         stats = self.stats
         stats.packets_sent += 1
-        now = self.simulator.now
-        extra = 0.0
-        for injector in self.injectors:
-            verdict = injector.assess(now, stats)
-            if verdict is None:
-                stats.packets_dropped += 1
-                return
-            extra += verdict
-        if extra > 0.0:
-            delay = delay + extra
+        stages = self._stages
+        if stages:
+            now = self._clock._now
+            extra = 0.0
+            for injector in stages:
+                verdict = injector.assess(now, stats)
+                if verdict is None:
+                    stats.packets_dropped += 1
+                    return
+                extra += verdict
+            if extra > 0.0:
+                delay = delay + extra
         self.inner.deliver(sink, packet, delay, label, guard)
 
 

@@ -55,6 +55,11 @@ class TCPFlag(enum.Flag):
         return "|".join(flag.name for flag in TCPFlag if flag and flag in self)
 
 
+#: Flag combinations built once at import: ``enum.Flag.__or__`` is a
+#: Python-level call, and these go on every handshake and data packet.
+SYN_ACK = TCPFlag.SYN | TCPFlag.ACK
+PSH_ACK = TCPFlag.PSH | TCPFlag.ACK
+
 class FlowKey:
     """The 4-tuple identifying a TCP flow towards a VIP.
 

@@ -30,7 +30,7 @@ from repro.core.service_hunting import (
 )
 from repro.errors import ServerError
 from repro.net.addressing import IPv6Address
-from repro.net.packet import Packet, TCPFlag, TCPSegment, make_reset
+from repro.net.packet import PSH_ACK, SYN_ACK, Packet, TCPFlag, TCPSegment, make_reset
 from repro.net.router import NetworkNode
 from repro.net.srh import SegmentRoutingHeader
 from repro.server.http_server import HTTPServerInstance, ServerConnection
@@ -236,7 +236,7 @@ class ServerNode(NetworkNode):
                 tcp=TCPSegment(
                     src_port=flow_key.dst_port,
                     dst_port=flow_key.src_port,
-                    flags=TCPFlag.SYN | TCPFlag.ACK,
+                    flags=SYN_ACK,
                     request_id=connection.request_id,
                 ),
                 srh=srh,
@@ -249,7 +249,7 @@ class ServerNode(NetworkNode):
                 tcp=pool.acquire_segment(
                     src_port=flow_key.dst_port,
                     dst_port=flow_key.src_port,
-                    flags=TCPFlag.SYN | TCPFlag.ACK,
+                    flags=SYN_ACK,
                     request_id=connection.request_id,
                 ),
                 srh=srh,
@@ -279,7 +279,7 @@ class ServerNode(NetworkNode):
                 tcp=TCPSegment(
                     src_port=flow_key.dst_port,
                     dst_port=flow_key.src_port,
-                    flags=TCPFlag.PSH | TCPFlag.ACK,
+                    flags=PSH_ACK,
                     payload_size=payload_size,
                     request_id=connection.request_id,
                 ),
@@ -292,7 +292,7 @@ class ServerNode(NetworkNode):
                 tcp=pool.acquire_segment(
                     src_port=flow_key.dst_port,
                     dst_port=flow_key.src_port,
-                    flags=TCPFlag.PSH | TCPFlag.ACK,
+                    flags=PSH_ACK,
                     payload_size=payload_size,
                     request_id=connection.request_id,
                 ),

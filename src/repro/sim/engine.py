@@ -30,13 +30,12 @@ Design points
   :class:`EventHandle` kept around by a component cannot pin the
   callback's closure — and everything it captured, packets included —
   for the rest of a replay.
-* **Batched dispatch.**  The run loop (factored into
-  :mod:`repro.sim._fastloop` so it can optionally be compiled) drains
-  all ready entries sharing the current timestamp in one pass — one
-  clock advance and one cancelled-entry sweep per batch — with a
-  singleton fast path for the common case of a unique timestamp.
-  :attr:`Simulator.batch_stats` reports the observed batch-size
-  distribution.
+* **One object per timer, none per packet hop.**  A timer's heap
+  record is the :class:`EventHandle` its caller keeps.  A packet
+  delivery is a plain ``(sink, packet, guard)`` tuple pushed by the
+  delivery channel and dispatched inline by the run loop (factored into
+  :mod:`repro.sim._fastloop` so it can optionally be compiled): no
+  closure, no handle, and never cancelled.
 * **No wall-clock coupling.**  The engine never sleeps; a 24-hour
   Wikipedia replay runs as fast as Python can drain the event heap.
 
@@ -54,7 +53,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.clock import SimulationClock
@@ -80,25 +79,25 @@ EventCallback = Callable[[], None]
 _COMPACTION_MIN_HEAP = 64
 
 
-class _ScheduledEvent:
-    """Internal event record carried inside a ``(time, seq, event)`` entry.
+class EventHandle:
+    """One scheduled timer: the heap record *and* the caller's handle.
 
-    The record itself is never compared (the unique sequence number
-    settles every tie before tuple comparison reaches it); it exists so
-    handles can observe and cancel the event after it was pushed.
+    :meth:`Simulator.schedule_at` pushes ``(time, seq, handle)`` onto the
+    heap and returns the same object, so a timer costs one allocation.
+    The record is never compared (the unique sequence number settles
+    every tie before tuple comparison reaches it).
     """
 
-    __slots__ = ("time", "sequence", "callback", "label", "cancelled", "done")
+    __slots__ = ("time", "callback", "label", "cancelled", "done", "_simulator")
 
     def __init__(
         self,
         time: float,
-        sequence: int,
         callback: Optional[EventCallback],
-        label: str = "",
+        label: str,
+        simulator: "Simulator",
     ) -> None:
         self.time = time
-        self.sequence = sequence
         self.callback = callback
         self.label = label
         self.cancelled = False
@@ -106,80 +105,37 @@ class _ScheduledEvent:
         #: so a late ``cancel()`` does not count toward the compaction
         #: trigger.
         self.done = False
-
-
-#: The heap entry type: time, scheduling sequence number, event record.
-_HeapEntry = Tuple[float, int, _ScheduledEvent]
-
-
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`, usable to cancel."""
-
-    __slots__ = ("_event", "_simulator")
-
-    def __init__(
-        self, event: _ScheduledEvent, simulator: Optional["Simulator"] = None
-    ) -> None:
-        self._event = event
         self._simulator = simulator
-
-    @property
-    def time(self) -> float:
-        """Simulated time at which the event will fire."""
-        return self._event.time
-
-    @property
-    def label(self) -> str:
-        """Human-readable label given at scheduling time."""
-        return self._event.label
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event has been cancelled."""
-        return self._event.cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Cancelling twice is a no-op."""
-        event = self._event
-        if event.cancelled:
+        if self.cancelled:
             return
-        event.cancelled = True
-        if event.done:
+        self.cancelled = True
+        if self.done:
             return
         # Still on the heap: the callback can be dropped right away (the
         # run loop will skip the entry), and the owning simulator keeps
         # count so it can decide when compaction pays off.
-        event.callback = None
-        if self._simulator is not None:
-            self._simulator._note_cancelled()
+        self.callback = None
+        self._simulator._note_cancelled()
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(time={self.time!r}, label={self.label!r}, {state})"
 
 
-@dataclass(frozen=True)
-class BatchStats:
-    """Batch-size distribution observed by the run loop so far.
+#: The heap entry type: time, scheduling sequence number, then a timer
+#: (:class:`EventHandle`) or a packet delivery, the plain tuple
+#: ``(sink, packet, guard)``.  Deliveries are never cancelled, so they
+#: carry no handle; the run loop calls ``sink.receive(packet)`` when
+#: ``guard`` is ``None`` or returns true.
+_HeapEntry = Tuple[float, int, Any]
 
-    A *batch* is one clock advance: either a singleton (an event whose
-    timestamp no other ready event shared — the overwhelmingly common
-    case in packet-grain replays) or a same-timestamp group executed in
-    one pass.  ``size_counts`` maps batch size to occurrence count,
-    singletons included under size 1.
-    """
 
-    batches: int
-    events: int
-    max_size: int
-    size_counts: Dict[int, int]
-
-    @property
-    def mean_size(self) -> float:
-        """Average events per clock advance (0.0 before any event ran)."""
-        if self.batches == 0:
-            return 0.0
-        return self.events / self.batches
+def _is_live(record: Any) -> bool:
+    """Whether a heap record still has work to do (deliveries always do)."""
+    return record.__class__ is tuple or not record.cancelled
 
 
 class Simulator:
@@ -203,14 +159,6 @@ class Simulator:
         self._stopped = False
         self._events_executed = 0
         self._cancelled_on_heap = 0
-        # Batched-dispatch state: one scratch list reused across batches
-        # (the run loop clears it after each batch) and the batch-size
-        # tallies behind :attr:`batch_stats`.  Singletons are a bare
-        # counter because they are the common case and a dict update per
-        # event would be measurable.
-        self._batch: List[_ScheduledEvent] = []
-        self._batch_singletons = 0
-        self._batch_size_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # scheduling
@@ -230,22 +178,6 @@ class Simulator:
         """Number of events still on the heap (including cancelled ones)."""
         return len(self._heap)
 
-    @property
-    def batch_stats(self) -> BatchStats:
-        """Batch-size distribution of every event executed so far."""
-        size_counts = dict(self._batch_size_counts)
-        if self._batch_singletons:
-            size_counts[1] = size_counts.get(1, 0) + self._batch_singletons
-        batches = sum(size_counts.values())
-        events = sum(size * count for size, count in size_counts.items())
-        max_size = max(size_counts) if size_counts else 0
-        return BatchStats(
-            batches=batches,
-            events=events,
-            max_size=max_size,
-            size_counts=size_counts,
-        )
-
     def schedule_at(
         self, time: float, callback: EventCallback, label: str = ""
     ) -> EventHandle:
@@ -263,9 +195,9 @@ class Simulator:
                 f"cannot schedule event {label!r} at {time!r}, "
                 f"which is before current time {self.clock._now!r}"
             )
-        event = _ScheduledEvent(time, next(self._sequence), callback, label)
-        heapq.heappush(self._heap, (time, event.sequence, event))
-        return EventHandle(event, self)
+        event = EventHandle(time, callback, label, self)
+        heapq.heappush(self._heap, (time, next(self._sequence), event))
+        return event
 
     def schedule_in(
         self, delay: float, callback: EventCallback, label: str = ""
@@ -282,28 +214,28 @@ class Simulator:
     def _schedule_delivery(
         self, delay: float, callback: EventCallback, label: str = ""
     ) -> None:
-        """Fire-and-forget ``schedule_in`` for the packet-delivery path.
+        """Fire-and-forget ``schedule_in`` for a packet-delivery callback.
 
-        Per-packet deliveries are never cancelled, so the
-        :class:`EventHandle` that :meth:`schedule_in` allocates for every
-        call is pure overhead on the hottest scheduling site of a replay.
-        This keeps the same validation outcome (negative, NaN and
-        infinite delays all raise :class:`SchedulingError`, since the
-        clock is always finite) and draws from the same sequence counter,
-        so event ordering is identical to the handle-returning path.
+        Used by the pooled channel, whose deliveries need a callback of
+        their own; :class:`~repro.net.channel.InProcessChannel` pushes
+        delivery records instead.  The validation outcome matches
+        :meth:`schedule_in` (negative, NaN and infinite delays all raise
+        :class:`SchedulingError`, since the clock is always finite) and
+        the sequence number comes from the same counter, so event
+        ordering is identical to the handle-returning path.
         """
         time = self.clock._now + delay
         if not (delay >= 0.0 and isfinite(time)):
             raise SchedulingError(
                 f"cannot schedule delivery {label!r} with delay {delay!r}"
             )
-        event = _ScheduledEvent(time, next(self._sequence), callback, label)
-        heapq.heappush(self._heap, (time, event.sequence, event))
+        event = EventHandle(time, callback, label, self)
+        heapq.heappush(self._heap, (time, next(self._sequence), event))
 
     # ------------------------------------------------------------------
     # heap hygiene
     # ------------------------------------------------------------------
-    def _discard(self, event: _ScheduledEvent) -> None:
+    def _discard(self, event: EventHandle) -> None:
         """Bookkeeping for an event that just left the heap unexecuted."""
         event.done = True
         event.callback = None
@@ -330,11 +262,11 @@ class Simulator:
             return
         survivors: List[_HeapEntry] = []
         for entry in self._heap:
-            event = entry[2]
-            if event.cancelled:
-                event.done = True
-            else:
+            record = entry[2]
+            if _is_live(record):
                 survivors.append(entry)
+            else:
+                record.done = True
         # In-place replacement, NOT rebinding: run() holds a local alias
         # to this list while callbacks execute, and a callback that
         # cancels enough events lands here mid-run.  Rebinding would
@@ -419,15 +351,21 @@ class Simulator:
         over them keeps the compaction counter exact.
         """
         while self._heap:
-            entry = heapq.heappop(self._heap)
-            event = entry[2]
-            if event.cancelled:
-                self._discard(event)
+            time, _, record = heapq.heappop(self._heap)
+            if record.__class__ is tuple:
+                self.clock._now = time
+                sink, packet, guard = record
+                if guard is None or guard():
+                    sink.receive(packet)
+                self._events_executed += 1
+                return True
+            if record.cancelled:
+                self._discard(record)
                 continue
-            event.done = True
-            callback = event.callback
-            event.callback = None
-            self.clock._now = entry[0]
+            record.done = True
+            callback = record.callback
+            record.callback = None
+            self.clock._now = time
             callback()
             self._events_executed += 1
             return True
@@ -440,7 +378,7 @@ class Simulator:
     def peek_next_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if none are pending."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and not _is_live(heap[0][2]):
             self._discard(heapq.heappop(heap)[2])
         if not heap:
             return None
@@ -450,10 +388,13 @@ class Simulator:
         """Discard all pending events; returns how many were discarded."""
         count = 0
         for entry in self._heap:
-            event = entry[2]
-            event.done = True
-            event.callback = None
-            if not event.cancelled:
+            record = entry[2]
+            if record.__class__ is tuple:
+                count += 1
+                continue
+            record.done = True
+            record.callback = None
+            if not record.cancelled:
                 count += 1
         self._heap.clear()
         self._cancelled_on_heap = 0

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Protocol
 
 from repro.errors import WorkloadError
 from repro.net.addressing import IPv6Address
-from repro.net.packet import Packet, TCPFlag, TCPSegment
+from repro.net.packet import PSH_ACK, Packet, TCPFlag, TCPSegment
 from repro.net.router import NetworkNode
 from repro.net.tcp import EphemeralPortAllocator, HTTP_PORT
 from repro.sim.engine import EventHandle, Simulator
@@ -498,7 +498,7 @@ class TrafficGeneratorNode(NetworkNode):
                 tcp=TCPSegment(
                     src_port=pending.src_port,
                     dst_port=HTTP_PORT,
-                    flags=TCPFlag.PSH | TCPFlag.ACK,
+                    flags=PSH_ACK,
                     payload_size=REQUEST_PAYLOAD_SIZE,
                     request_id=pending.request.request_id,
                 ),
@@ -511,7 +511,7 @@ class TrafficGeneratorNode(NetworkNode):
                 tcp=pool.acquire_segment(
                     src_port=pending.src_port,
                     dst_port=HTTP_PORT,
-                    flags=TCPFlag.PSH | TCPFlag.ACK,
+                    flags=PSH_ACK,
                     payload_size=REQUEST_PAYLOAD_SIZE,
                     request_id=pending.request.request_id,
                 ),

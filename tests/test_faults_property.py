@@ -1,6 +1,6 @@
-"""Property tests for the fault-injection plane (ISSUE satellite).
+"""Property tests for the fault-injection plane.
 
-Two claims:
+Three claims:
 
 * **Bit-identity when disabled** — a :class:`FaultInjectionChannel`
   whose every injector is configured off (zero loss, zero jitter, no
@@ -15,6 +15,10 @@ Two claims:
   drop total, and the drop total always equals the sum of the
   per-reason counters: ``packets_sent - packets_dropped`` is exactly
   the delivered count.
+
+* **Enabled-only stages are exact** — the channel runs only the stages
+  enabled at construction, and that matches a loop over all six
+  injectors drop for drop, delay for delay and draw for draw.
 """
 
 import math
@@ -29,6 +33,7 @@ from repro.net.faults import (
     build_injectors,
     install_fault_channel,
 )
+from repro.net.link import LinkStats
 from repro.sim.engine import Simulator
 
 
@@ -181,3 +186,90 @@ def test_install_fault_channel_wraps_and_returns():
     assert sink.received == []
     assert pipeline.stats.packets_dropped == 1
     assert pipeline.stats.packets_dropped_loss == 1
+
+
+STREAMS = (
+    "fault-iid-loss",
+    "fault-burst-loss",
+    "fault-corruption",
+    "fault-jitter",
+    "fault-reorder",
+)
+
+
+@st.composite
+def partial_fault_configs(draw):
+    """Valid recipes with a random subset of the six stages switched on."""
+    on = draw(st.lists(st.booleans(), min_size=6, max_size=6))
+    positive = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
+    windows = ()
+    if on[0]:
+        start = draw(st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
+        length = draw(st.floats(min_value=0.01, max_value=3.0, allow_nan=False))
+        windows = ((start, start + length),)
+    return FaultConfig(
+        flap_windows=windows,
+        loss_rate=draw(positive) if on[1] else 0.0,
+        burst_enter=draw(positive) if on[2] else 0.0,
+        burst_exit=draw(probability),
+        burst_loss=draw(probability),
+        corruption_rate=draw(positive) if on[3] else 0.0,
+        jitter_mean=draw(st.floats(min_value=1e-6, max_value=0.01)) if on[4] else 0.0,
+        jitter_cap=draw(st.floats(min_value=0.0, max_value=0.005)),
+        reorder_rate=draw(positive) if on[5] else 0.0,
+        reorder_window=draw(st.floats(min_value=1e-4, max_value=0.01)),
+    )
+
+
+class _Recorder:
+    """Inner channel recording the delay of every forwarded packet."""
+
+    def __init__(self):
+        self.delays = {}
+
+    def deliver(self, sink, packet, delay, label, guard=None):
+        self.delays[packet] = delay
+
+
+@given(
+    config=partial_fault_configs(),
+    times=st.lists(
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False), max_size=60
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_enabled_only_stages_match_the_full_pipeline(config, times):
+    """Skipping disabled stages is exact: per packet the same drop or
+    extra delay, the same counters and the same RNG states afterwards as
+    a loop over all six injectors."""
+    hop_delay = 5e-5
+    simulator = Simulator(seed=5)
+    recorder = _Recorder()
+    channel = FaultInjectionChannel(
+        simulator, recorder, build_injectors(simulator, config)
+    )
+    reference_sim = Simulator(seed=5)
+    reference = build_injectors(reference_sim, config)
+    reference_stats = LinkStats()
+    expected = {}
+    for packet, at in enumerate(sorted(times)):
+        simulator.clock.advance(at)
+        channel.deliver(None, packet, hop_delay, "x")
+        reference_stats.packets_sent += 1
+        extra = 0.0
+        for injector in reference:
+            verdict = injector.assess(at, reference_stats)
+            if verdict is None:
+                reference_stats.packets_dropped += 1
+                break
+            extra += verdict
+        else:
+            expected[packet] = hop_delay + extra if extra > 0.0 else hop_delay
+
+    assert recorder.delays == expected
+    assert channel.stats == reference_stats
+    for name in STREAMS:
+        assert (
+            simulator.streams.stream(name).bit_generator.state
+            == reference_sim.streams.stream(name).bit_generator.state
+        )

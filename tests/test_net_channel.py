@@ -5,7 +5,7 @@ import multiprocessing
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, SchedulingError
 from repro.net.channel import (
     BatchFrame,
     CollectingSender,
@@ -36,20 +36,26 @@ class TestInProcessChannel:
         assert simulator.now == pytest.approx(0.25)
 
     def test_is_one_schedule_call_with_the_given_label(self, simulator):
-        # The bit-identity guarantee: one scheduling call per delivery,
-        # with the caller's label, so event ordering matches the
-        # historical direct-receive scheduling exactly.  Deliveries go
-        # through the simulator's handle-free fast path.
-        calls = []
-        original = simulator._schedule_delivery
-
-        def spying(delay, action, label=""):
-            calls.append((delay, label))
-            return original(delay, action, label)
-
-        simulator._schedule_delivery = spying
-        InProcessChannel(simulator).deliver(FakeSink(), "pkt", 0.5, "my-label")
-        assert calls == [(0.5, "my-label")]
+        # The bit-identity guarantee: one heap entry per delivery, at the
+        # time and with the sequence number a schedule_in call would
+        # take, so event ordering matches the historical direct-receive
+        # scheduling exactly.  The label names the hop in the error a
+        # bad delay raises.
+        sink = FakeSink()
+        channel = InProcessChannel(simulator)
+        before = simulator.schedule_in(0.5, lambda: None, "before")
+        channel.deliver(sink, "pkt", 0.5, "my-label")
+        after = simulator.schedule_in(0.5, lambda: None, "after")
+        entries = sorted(simulator._heap, key=lambda entry: entry[1])
+        assert [entry[0] for entry in entries] == [0.5, 0.5, 0.5]
+        first, delivery, last = (entry[1] for entry in entries)
+        assert (delivery - first, last - delivery) == (1, 1)
+        assert entries[0][2] is before and entries[2][2] is after
+        assert entries[1][2] == (sink, "pkt", None)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(SchedulingError, match="my-label"):
+                channel.deliver(sink, "pkt", bad, "my-label")
+        assert simulator.pending_events == 3
 
     def test_guard_true_delivers(self, simulator):
         sink = FakeSink()

@@ -287,7 +287,7 @@ class TestHeapCompaction:
         # Only live events remain countable, and they still all fire.
         fired = []
         for index in range(100):
-            handles[index]._event.callback = lambda index=index: fired.append(index)
+            handles[index].callback = lambda index=index: fired.append(index)
         simulator.run()
         assert fired == list(range(100))
 
@@ -383,9 +383,13 @@ class TestHeapCompaction:
         assert simulator._cancelled_on_heap == sum(
             1 for entry in simulator._heap if entry[2].cancelled
         )
+        # The handles are the heap records themselves.
+        assert {id(entry[2]) for entry in simulator._heap} <= {
+            id(handle) for handle in handles
+        }
         fired = []
         for index, handle in enumerate(handles_alive[180:]):
-            handle._event.callback = lambda i=index: fired.append(i)
+            handle.callback = lambda i=index: fired.append(i)
         simulator.run()
         assert fired == list(range(len(handles_alive[180:])))
 
@@ -433,22 +437,22 @@ class TestCallbackRelease:
     def test_executed_event_releases_callback(self, simulator):
         handle = simulator.schedule_at(1.0, lambda: None)
         simulator.run()
-        assert handle._event.callback is None
+        assert handle.callback is None
 
     def test_cancelled_event_releases_callback_immediately(self, simulator):
         handle = simulator.schedule_at(1.0, lambda: None)
         handle.cancel()
-        assert handle._event.callback is None
+        assert handle.callback is None
 
     def test_stepped_event_releases_callback(self, simulator):
         handle = simulator.schedule_at(1.0, lambda: None)
         assert simulator.step() is True
-        assert handle._event.callback is None
+        assert handle.callback is None
 
     def test_drained_event_releases_callback(self, simulator):
         handle = simulator.schedule_at(1.0, lambda: None)
         assert simulator.drain() == 1
-        assert handle._event.callback is None
+        assert handle.callback is None
 
 
 class TestBatchedDispatch:
@@ -531,17 +535,20 @@ class TestBatchedDispatch:
         assert fired == [0, 1, 2]
 
     def test_batch_stats_distinguish_singletons_from_batches(self, simulator):
+        # A same-timestamp group and two singletons: every member runs
+        # once, at its own time, and counts as one executed event.
+        seen = []
         for index in range(5):
-            simulator.schedule_at(1.0, lambda: None)
-        simulator.schedule_at(2.0, lambda: None)
-        simulator.schedule_at(3.0, lambda: None)
+            simulator.schedule_at(1.0, lambda i=index: seen.append((simulator.now, i)))
+        simulator.schedule_at(2.0, lambda: seen.append((simulator.now, "two")))
+        simulator.schedule_at(3.0, lambda: seen.append((simulator.now, "three")))
         simulator.run()
-        stats = simulator.batch_stats
-        assert stats.events == 7
-        assert stats.batches == 3
-        assert stats.max_size == 5
-        assert stats.size_counts == {1: 2, 5: 1}
-        assert stats.mean_size == pytest.approx(7 / 3)
+        assert seen == [(1.0, index) for index in range(5)] + [
+            (2.0, "two"),
+            (3.0, "three"),
+        ]
+        assert simulator.events_executed == 7
+        assert simulator.pending_events == 0
 
     def test_exception_mid_batch_keeps_unexecuted_events(self, simulator):
         fired = []
@@ -558,3 +565,65 @@ class TestBatchedDispatch:
         # The unexecuted member survived the abort and runs on resume.
         simulator.run()
         assert fired == ["ok", "later"]
+
+
+class TestDeliveryRecords:
+    """Packet deliveries are plain ``(sink, packet, guard)`` heap records:
+    never cancelled, dispatched inline, counted as events."""
+
+    class Sink:
+        def __init__(self, simulator):
+            self.simulator = simulator
+            self.received = []
+
+        def receive(self, packet):
+            self.received.append((self.simulator.now, packet))
+
+    def _deliver(self, simulator, sink, packet, delay, guard=None):
+        from repro.net.channel import InProcessChannel
+
+        InProcessChannel(simulator).deliver(sink, packet, delay, "hop", guard)
+
+    def test_step_dispatches_a_delivery_and_honours_its_guard(self, simulator):
+        sink = self.Sink(simulator)
+        self._deliver(simulator, sink, "kept", 1.0, lambda: True)
+        self._deliver(simulator, sink, "dropped", 2.0, lambda: False)
+        assert simulator.step() is True
+        assert simulator.step() is True
+        assert simulator.step() is False
+        assert sink.received == [(1.0, "kept")]
+        assert simulator.events_executed == 2
+        assert simulator.now == 2.0
+
+    def test_deliveries_interleave_with_timers_in_scheduling_order(self, simulator):
+        sink = self.Sink(simulator)
+        order = []
+        simulator.schedule_at(1.0, lambda: order.append("timer-a"))
+        self._deliver(simulator, sink, "pkt", 1.0)
+        simulator.schedule_at(1.0, lambda: order.append(("timer-b", len(sink.received))))
+        simulator.run()
+        assert order == ["timer-a", ("timer-b", 1)]
+        assert simulator.events_executed == 3
+
+    def test_peek_and_drain_treat_deliveries_as_live(self, simulator):
+        sink = self.Sink(simulator)
+        cancelled = simulator.schedule_at(0.5, lambda: None)
+        cancelled.cancel()
+        self._deliver(simulator, sink, "pkt", 1.0)
+        assert simulator.peek_next_time() == 1.0
+        assert simulator.drain() == 1
+        assert sink.received == []
+
+    def test_compaction_keeps_every_delivery(self, simulator):
+        sink = self.Sink(simulator)
+        handles = [simulator.schedule_at(5.0, lambda: None) for _ in range(100)]
+        for index in range(10):
+            self._deliver(simulator, sink, index, float(index + 1))
+        for handle in handles:
+            handle.cancel()
+        # Compaction ran once the cancelled timers passed half the heap,
+        # and no delivery was lost to it.
+        assert simulator.pending_events < 110
+        assert sum(entry[2].__class__ is tuple for entry in simulator._heap) == 10
+        simulator.run()
+        assert [packet for _, packet in sink.received] == list(range(10))
