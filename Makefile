@@ -96,12 +96,11 @@ profile:
 
 # Same-machine interleaved A/B of the scenario benchmark against a base
 # revision.  WORKLOAD may name one workload (default: all three);
-# RUN_SECONDS (per run) and PAIRS size the comparison.
+# PAIRS sizes the comparison.  Each run lasts BENCHMARK.json's run_seconds.
 PAIRS ?= 10
-RUN_SECONDS ?= 25
 perf-ab:
-	@if [ -z "$(BASE)" ]; then echo "usage: make perf-ab BASE=<rev> [WORKLOAD=ecmp-chaos] [PAIRS=10] [RUN_SECONDS=25]"; exit 2; fi
-	$(PYTHON) tools/perf_ab.py --base $(BASE) --pairs $(PAIRS) --seconds $(RUN_SECONDS) \
+	@if [ -z "$(BASE)" ]; then echo "usage: make perf-ab BASE=<rev> [WORKLOAD=ecmp-chaos] [PAIRS=10]"; exit 2; fi
+	$(PYTHON) tools/perf_ab.py --base $(BASE) --pairs $(PAIRS) \
 		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # Optional compiled run loop (repro.sim._fastloop_c, used only under

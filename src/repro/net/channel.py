@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heappush
 from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
-from repro.errors import NetworkError, SchedulingError
+from repro.errors import NetworkError
 from repro.sim.engine import Simulator
 
 
@@ -71,41 +70,22 @@ class DeliveryChannel(Protocol):
 class InProcessChannel:
     """Channel between components sharing one simulator.
 
-    ``deliver`` pushes one ``(time, seq, (sink, packet, guard))`` entry
-    onto the simulator's heap, which the run loop dispatches inline.  The
-    time and sequence number are exactly those a ``schedule_in(delay,
-    ...)`` call would take, so runs through this channel are
-    bit-identical to the historical direct-``receive`` scheduling (same
-    event times, same FIFO sequence numbers).  The label only names the
-    hop in the error raised for a bad delay.
+    ``deliver(sink, packet, delay, label, guard=None)`` is the
+    simulator's :meth:`~repro.sim.engine.Simulator._push_delivery`,
+    bound once here so each packet hop costs one Python call.  It pushes
+    one ``(sink, packet, guard)`` delivery record, which the run loop
+    dispatches inline.  The time and sequence number are exactly those a
+    ``schedule_in(delay, ...)`` call would take, so runs through this
+    channel are bit-identical to the historical direct-``receive``
+    scheduling (same event times, same FIFO sequence numbers).  The
+    label only names the hop in the error raised for a bad delay.
     """
 
-    __slots__ = ("_simulator", "_clock", "_heap", "_sequence")
+    __slots__ = ("_simulator", "deliver")
 
     def __init__(self, simulator: Simulator) -> None:
         self._simulator = simulator
-        # Bound once: deliver() runs per packet hop.  The simulator never
-        # rebinds these (heap compaction and drain work in place).
-        self._clock = simulator.clock
-        self._heap = simulator._heap
-        self._sequence = simulator._sequence
-
-    def deliver(
-        self,
-        sink: PacketSink,
-        packet: Any,
-        delay: float,
-        label: str,
-        guard: Optional[DeliveryGuard] = None,
-    ) -> None:
-        time = self._clock._now + delay
-        # Negative, NaN and infinite delays all fail here (the clock is
-        # always finite), as they do in Simulator.schedule_in.
-        if not (delay >= 0.0 and math.isfinite(time)):
-            raise SchedulingError(
-                f"cannot schedule delivery {label!r} with delay {delay!r}"
-            )
-        heappush(self._heap, (time, next(self._sequence), (sink, packet, guard)))
+        self.deliver = simulator._push_delivery
 
 
 class PooledInProcessChannel:
@@ -130,12 +110,11 @@ class PooledInProcessChannel:
     edge router accordingly.
     """
 
-    __slots__ = ("_simulator", "pool", "_schedule")
+    __slots__ = ("_simulator", "pool")
 
     def __init__(self, simulator: Simulator, pool: Any) -> None:
         self._simulator = simulator
         self.pool = pool
-        self._schedule = simulator._schedule_delivery
 
     def deliver(
         self,
@@ -164,7 +143,7 @@ class PooledInProcessChannel:
                 if not packet.in_flight:
                     pool.release(packet)
 
-        self._schedule(delay, _deliver, label)
+        self._simulator.schedule_in(delay, _deliver, label)
 
 
 # ----------------------------------------------------------------------

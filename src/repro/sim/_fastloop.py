@@ -13,6 +13,7 @@ The loop pops one ``(time, sequence, record)`` entry at a time, in heap
 order.  A record is one of two kinds:
 
 * a **delivery** — a ``(sink, packet, guard)`` tuple pushed by
+  :meth:`~repro.sim.engine.Simulator._push_delivery`, the ``deliver`` of
   :class:`~repro.net.channel.InProcessChannel` — is dispatched inline:
   ``sink.receive(packet)`` unless the guard says no.  Deliveries are
   never cancelled, so they skip the cancelled check;

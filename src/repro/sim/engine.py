@@ -32,10 +32,10 @@ Design points
   for the rest of a replay.
 * **One object per timer, none per packet hop.**  A timer's heap
   record is the :class:`EventHandle` its caller keeps.  A packet
-  delivery is a plain ``(sink, packet, guard)`` tuple pushed by the
-  delivery channel and dispatched inline by the run loop (factored into
-  :mod:`repro.sim._fastloop` so it can optionally be compiled): no
-  closure, no handle, and never cancelled.
+  delivery is a plain ``(sink, packet, guard)`` tuple pushed by
+  :meth:`Simulator._push_delivery` and dispatched inline by the run
+  loop (factored into :mod:`repro.sim._fastloop` so it can optionally
+  be compiled): no closure, no handle, and never cancelled.
 * **No wall-clock coupling.**  The engine never sleeps; a 24-hour
   Wikipedia replay runs as fast as Python can drain the event heap.
 
@@ -68,6 +68,7 @@ else:
     from repro.sim import _fastloop
 
 _run_loop = _fastloop.run_loop
+_heappush = heapq.heappush
 #: True when the mypyc-compiled run loop is active (``REPRO_COMPILED=1``
 #: and ``make build-fast`` has produced ``repro.sim._fastloop_c``).
 COMPILED_LOOP: bool = bool(getattr(_fastloop, "COMPILED", False))
@@ -211,26 +212,31 @@ class Simulator:
         # the absolute time non-finite, which schedule_at rejects.
         return self.schedule_at(self.clock._now + delay, callback, label)
 
-    def _schedule_delivery(
-        self, delay: float, callback: EventCallback, label: str = ""
+    def _push_delivery(
+        self,
+        sink: Any,
+        packet: Any,
+        delay: float,
+        label: str,
+        guard: Optional[Callable[[], bool]] = None,
     ) -> None:
-        """Fire-and-forget ``schedule_in`` for a packet-delivery callback.
+        """Push a packet delivery record: ``sink.receive(packet)`` after ``delay``.
 
-        Used by the pooled channel, whose deliveries need a callback of
-        their own; :class:`~repro.net.channel.InProcessChannel` pushes
-        delivery records instead.  The validation outcome matches
-        :meth:`schedule_in` (negative, NaN and infinite delays all raise
-        :class:`SchedulingError`, since the clock is always finite) and
-        the sequence number comes from the same counter, so event
-        ordering is identical to the handle-returning path.
+        This is :class:`~repro.net.channel.InProcessChannel`'s ``deliver``
+        (bound once per channel, so a hop is one Python call).  The
+        record is the plain tuple ``(sink, packet, guard)``; the run loop
+        dispatches it inline.  The time and sequence number are exactly
+        those :meth:`schedule_in` would take, and the validation outcome
+        matches it: negative, NaN and infinite delays all raise
+        :class:`SchedulingError` (the clock is always finite), naming the
+        label.
         """
         time = self.clock._now + delay
         if not (delay >= 0.0 and isfinite(time)):
             raise SchedulingError(
                 f"cannot schedule delivery {label!r} with delay {delay!r}"
             )
-        event = EventHandle(time, callback, label, self)
-        heapq.heappush(self._heap, (time, next(self._sequence), event))
+        _heappush(self._heap, (time, next(self._sequence), (sink, packet, guard)))
 
     # ------------------------------------------------------------------
     # heap hygiene

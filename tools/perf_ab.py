@@ -11,7 +11,8 @@ out in this repository and no worktree state is left behind.  The
 working tree this script lives in, uncommitted edits included, is B.
 
 For each workload, pair ``i`` runs ``perfbench/run.py --seed <seed+i>``
-on both sides back to back, alternating which side goes first (A B,
+for the ``run_seconds`` that ``BENCHMARK.json`` sets on both sides back
+to back, alternating which side goes first (A B,
 B A, A B, ...), so slow drift of the host hits both sides alike.  Each
 run's last output line is its JSON result; a run that fails its checks
 aborts the comparison.
@@ -19,8 +20,7 @@ aborts the comparison.
 Per metric the report gives both medians, the base's interquartile
 range, how many pairs B won (by the metric's ``better`` direction in
 ``BENCHMARK.json``), and the median of the per-pair ratios B/A with a
-seeded bootstrap 95% confidence interval.  ``--json`` writes the
-samples and the summaries (with both sides' quartiles) to a file.
+seeded bootstrap 95% confidence interval.
 """
 
 from __future__ import annotations
@@ -153,16 +153,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
-def directions(trace: int) -> Dict[str, str]:
+def directions(spec: Dict[str, Any], trace: int) -> Dict[str, str]:
     """Metric name -> ``better`` direction, from ``BENCHMARK.json``."""
-    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     section = spec["per_layer"] if trace else spec["end_to_end"]
     return {metric["name"]: metric["better"] for metric in section}
 
 
-def compare(base_dir: Path, workload: str, pairs: int, seed: int,
-            seconds: float, trace: int) -> Dict[str, Any]:
-    """Run the ABAB sequence for one workload; returns samples and summaries."""
+def compare(spec: Dict[str, Any], base_dir: Path, workload: str, pairs: int,
+            seed: int, trace: int) -> Dict[str, Dict[str, Any]]:
+    """Run the ABAB sequence for one workload; returns per-metric summaries."""
+    seconds = spec["run_seconds"]
     samples_a: List[Dict[str, float]] = []
     samples_b: List[Dict[str, float]] = []
     for index in range(pairs):
@@ -171,13 +171,13 @@ def compare(base_dir: Path, workload: str, pairs: int, seed: int,
             samples.append(run_once(checkout, workload, seed + index, seconds, trace))
         print(f"  {workload}: pair {index + 1}/{pairs} done", file=sys.stderr)
     summaries = {}
-    for name, better in directions(trace).items():
+    for name, better in directions(spec, trace).items():
         if name not in samples_a[0]:
             continue
         a = [sample[name] for sample in samples_a]
         b = [sample[name] for sample in samples_b]
         summaries[name] = summarize(a, b, better, seed)
-    return {"a": samples_a, "b": samples_b, "summary": summaries}
+    return summaries
 
 
 def render(workload: str, summaries: Dict[str, Dict[str, Any]]) -> str:
@@ -207,9 +207,7 @@ def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the first pair; pair i uses seed + i")
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--json", type=Path, help="write samples and summaries here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -220,19 +218,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_args(argv)
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [entry["name"] for entry in spec["workloads"]]
-    report: Dict[str, Any] = {"base": args.base, "pairs": args.pairs,
-                              "seconds": args.seconds, "trace": args.trace,
-                              "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="perf-ab-") as scratch:
         base_dir = Path(scratch) / "base"
         export_revision(args.base, base_dir)
         for workload in workloads:
-            result = compare(base_dir, workload, args.pairs, args.seed,
-                             args.seconds, args.trace)
-            report["workloads"][workload] = result
-            print(render(workload, result["summary"]), flush=True)
-    if args.json is not None:
-        args.json.write_text(json.dumps(report, indent=2))
+            summaries = compare(spec, base_dir, workload, args.pairs,
+                                args.seed, args.trace)
+            print(render(workload, summaries), flush=True)
     return 0
 
 
