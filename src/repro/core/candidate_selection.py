@@ -86,8 +86,24 @@ class CandidateSelector(abc.ABC):
         return f"{type(self).__name__}(candidates={self.num_candidates})"
 
 
+#: Above this pool size numpy's ``Generator.choice(n, size=k,
+#: replace=False)`` switches from Floyd's algorithm to a partial shuffle
+#: of the whole range when ``k > n // 50``;
+#: :meth:`RandomCandidateSelector.select` keeps calling ``choice`` there.
+_FLOYD_MAX_POOL = 10_000
+
+
 class RandomCandidateSelector(CandidateSelector):
-    """``d`` distinct servers chosen uniformly at random (paper default, d=2)."""
+    """``d`` distinct servers chosen uniformly at random (paper default, d=2).
+
+    :meth:`select` replays, draw for draw, what
+    ``rng.choice(len(servers), size=d, replace=False)`` does inside
+    numpy: Floyd's sampling (one ``integers(0, j + 1)`` per ``j`` in
+    ``n-d .. n-1``, a repeated value replaced by ``j``), then a
+    Fisher-Yates pass (``integers(0, i + 1)`` for ``i`` from ``d-1`` down
+    to 1).  The picks and the generator state afterwards are those of
+    ``choice``, without its per-call array set-up.
+    """
 
     def __init__(self, rng: np.random.Generator, num_candidates: int = 2) -> None:
         if num_candidates <= 0:
@@ -102,12 +118,20 @@ class RandomCandidateSelector(CandidateSelector):
         self, flow_key: FlowKey, servers: Sequence[IPv6Address]
     ) -> List[IPv6Address]:
         self._validate_pool(servers)
-        indices = self._rng.choice(
-            len(servers), size=self.num_candidates, replace=False
-        )
-        # tolist() yields plain ints in one C call — cheaper than
-        # iterating numpy scalars and casting each one.
-        return [servers[index] for index in indices.tolist()]
+        n = len(servers)
+        k = self.num_candidates
+        if n > _FLOYD_MAX_POOL and k > n // 50:
+            indices = self._rng.choice(n, size=k, replace=False).tolist()
+            return [servers[index] for index in indices]
+        integers = self._rng.integers
+        picks = []
+        for j in range(n - k, n):
+            value = integers(0, j + 1)
+            picks.append(j if value in picks else value)
+        for i in range(k - 1, 0, -1):
+            swap = integers(0, i + 1)
+            picks[i], picks[swap] = picks[swap], picks[i]
+        return [servers[index] for index in picks]
 
 
 class SingleRandomSelector(RandomCandidateSelector):

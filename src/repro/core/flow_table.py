@@ -64,7 +64,8 @@ class FlowTable:
         idle_timeout: float = 60.0,
         capacity: Optional[int] = None,
     ) -> None:
-        if idle_timeout <= 0:
+        # Negated so that NaN, which compares false, is rejected too.
+        if not idle_timeout > 0:
             raise FlowTableError(f"idle timeout must be positive, got {idle_timeout!r}")
         if capacity is not None and capacity <= 0:
             raise FlowTableError(f"capacity must be positive, got {capacity!r}")

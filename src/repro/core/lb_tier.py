@@ -133,8 +133,7 @@ class TierLoadBalancer(LoadBalancerNode):
             # chosen from this same chain, so the packet finds it without
             # any instance having kept state.
             candidates = self.selector.select(packet.flow_key(), self._backends[vip])
-            srh = SegmentRoutingHeader.from_traversal(list(candidates) + [vip])
-            packet.attach_srh(srh)
+            packet.attach_srh(SegmentRoutingHeader.for_candidates(candidates, vip))
             self.tier_stats.recovery_hunts += 1
             self.send(packet)
             return

@@ -95,7 +95,38 @@ class TestbedConfig:
     backlog_shed_watermark: int = 0
     seed: int = 0
 
+    #: The float fields (timings), checked for NaN and infinity before
+    #: any range check: a NaN compares false against every bound, so it
+    #: would otherwise pass and fail mid-run, or silently disable the
+    #: feature it configures.
+    _FLOAT_FIELDS = (
+        "fabric_latency",
+        "flow_idle_timeout",
+        "request_spread",
+        "request_timeout",
+        "syn_retransmit_timeout",
+        "syn_retransmit_cap",
+        "retry_timeout",
+    )
+
     def __post_init__(self) -> None:
+        for name in self._FLOAT_FIELDS:
+            value = getattr(self, name)
+            # An infinite cap is an uncapped backoff; any other infinite
+            # timing would be scheduled as an event at infinity.
+            if math.isnan(value) or (
+                math.isinf(value) and name != "syn_retransmit_cap"
+            ):
+                raise ExperimentError(f"{name} must be finite, got {value!r}")
+        if self.fabric_latency < 0:
+            raise ExperimentError(
+                f"fabric_latency must be non-negative, got {self.fabric_latency!r}"
+            )
+        if self.flow_idle_timeout <= 0:
+            raise ExperimentError(
+                "flow_idle_timeout must be positive, got "
+                f"{self.flow_idle_timeout!r}"
+            )
         if self.num_servers <= 0:
             raise ExperimentError(
                 f"num_servers must be positive, got {self.num_servers!r}"
@@ -168,9 +199,10 @@ class TestbedConfig:
                     f"servers but the fleet has {self.num_servers}"
                 )
             for speed in self.server_speed_factors:
-                if speed <= 0:
+                if not math.isfinite(speed) or speed <= 0:
                     raise ExperimentError(
-                        f"server speed factors must be positive, got {speed!r}"
+                        "server_speed_factors must be positive and finite, "
+                        f"got {speed!r}"
                     )
 
     @property

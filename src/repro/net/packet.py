@@ -13,10 +13,18 @@ dataclass machinery this replaced (generated ``__init__``/``__eq__``
 plus per-call flow-key construction) was measurable across a full
 replay.  :meth:`Packet.flow_key` is cached on the packet and invalidated
 by exactly the mutations that can change the flow identity — attaching
-or detaching an SRH, or assigning :attr:`Packet.dst` — while SRH
-*advancement* (``advance_srh``/``set_segments_left``) keeps the cache,
-because it can only move the active segment along a fixed segment list
-whose final segment (the flow's true destination) never changes.
+an SRH with a different final segment, detaching one, or assigning
+:attr:`Packet.dst` while no SRH is attached — while SRH *advancement*
+(``advance_srh``/``set_segments_left``) keeps the cache, because it can
+only move the active segment along a fixed segment list whose final
+segment (the flow's true destination) never changes.
+
+A connection's endpoints already know its key, so they seed the cache
+at construction (``Packet(..., flow_key=...)``): the client passes one
+key per connection attempt to its SYN, probe and data packets, and the
+server passes the reverse of the connection's key to its SYN-ACK,
+response and RST.  Every hop of a connection then reads the same
+:class:`FlowKey` object, and flow-table lookups hit by identity.
 """
 
 from __future__ import annotations
@@ -59,6 +67,15 @@ class TCPFlag(enum.Flag):
 #: Python-level call, and these go on every handshake and data packet.
 SYN_ACK = TCPFlag.SYN | TCPFlag.ACK
 PSH_ACK = TCPFlag.PSH | TCPFlag.ACK
+
+#: Integer masks of the flags, for hop code that reads
+#: ``tcp.flags._value_`` once and tests bits on it instead of calling
+#: :meth:`TCPSegment.has` per flag.
+SYN_BIT = TCPFlag.SYN._value_
+ACK_BIT = TCPFlag.ACK._value_
+RST_BIT = TCPFlag.RST._value_
+PSH_BIT = TCPFlag.PSH._value_
+
 
 class FlowKey:
     """The 4-tuple identifying a TCP flow towards a VIP.
@@ -214,6 +231,10 @@ class Packet:
     while an SRH is present — maintaining that invariant is the
     responsibility of whoever inserts or advances the SRH (see
     :meth:`attach_srh` and :meth:`advance_srh`).
+
+    ``flow_key`` seeds the cached :meth:`flow_key`; the caller vouches
+    that it equals the key derived from ``src``, the ports and the final
+    destination (the SRH's final segment, else ``dst``).
     """
 
     __slots__ = (
@@ -237,6 +258,7 @@ class Packet:
         hop_limit: int = DEFAULT_HOP_LIMIT,
         packet_id: Optional[int] = None,
         created_at: float = 0.0,
+        flow_key: Optional[FlowKey] = None,
     ) -> None:
         if hop_limit <= 0:
             raise NetworkError(f"invalid hop limit {hop_limit!r}")
@@ -252,7 +274,7 @@ class Packet:
         self.hop_limit = hop_limit
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
         self.created_at = created_at
-        self._flow_key: Optional[FlowKey] = None
+        self._flow_key: Optional[FlowKey] = flow_key
         #: Maintained by pooled delivery channels: True while a delivery
         #: of this packet is scheduled.  See :class:`PacketPool`.
         self.in_flight = False
@@ -269,8 +291,11 @@ class Packet:
     def dst(self, value: IPv6Address) -> None:
         self._dst = value
         # Without an SRH the destination *is* the flow's destination, so
-        # any assignment may change the flow identity.
-        self._flow_key = None
+        # any assignment may change the flow identity.  With one, the key
+        # comes from the final segment, which this leaves alone (the
+        # tier's SYN-ACK relay rewrites only the active segment).
+        if self.srh is None:
+            self._flow_key = None
 
     # ------------------------------------------------------------------
     # flow identity
@@ -300,10 +325,21 @@ class Packet:
     # segment routing helpers
     # ------------------------------------------------------------------
     def attach_srh(self, srh: SegmentRoutingHeader) -> None:
-        """Attach an SRH and point the destination at its active segment."""
+        """Attach an SRH and point the destination at its active segment.
+
+        The cached flow key survives when its destination is the new
+        header's final segment, which is always the case at the load
+        balancer: the VIP the client addressed stays the final segment.
+        """
         self.srh = srh
         self._dst = srh.active_segment
-        self._flow_key = None
+        key = self._flow_key
+        if key is not None:
+            final = srh.segments[0]
+            # The identity test is the common case and skips a
+            # Python-level ``IPv6Address.__eq__`` call.
+            if key.dst_address is not final and key.dst_address != final:
+                self._flow_key = None
 
     def detach_srh(self) -> None:
         """Remove the SRH, keeping the current destination address."""
@@ -451,15 +487,18 @@ class PacketPool:
         hop_limit: int = DEFAULT_HOP_LIMIT,
         packet_id: Optional[int] = None,
         created_at: float = 0.0,
+        flow_key: Optional[FlowKey] = None,
     ) -> Packet:
         """A packet, recycled when possible; same contract as ``Packet(...)``."""
         packets = self._packets
         if packets:
             packet = packets.pop()
             self.reused += 1
-            packet.__init__(src, dst, tcp, srh, hop_limit, packet_id, created_at)
+            packet.__init__(
+                src, dst, tcp, srh, hop_limit, packet_id, created_at, flow_key
+            )
             return packet
-        return Packet(src, dst, tcp, srh, hop_limit, packet_id, created_at)
+        return Packet(src, dst, tcp, srh, hop_limit, packet_id, created_at, flow_key)
 
     def acquire_segment(
         self,
@@ -545,8 +584,10 @@ def make_reset(
     the other way, from the flow's destination (the VIP or server) back
     to its source.  Used by the load balancer (steering miss), the
     server application (backlog overflow, request timeout) and the
-    virtual router (data for a non-existent connection).
+    virtual router (data for a non-existent connection).  The reset
+    carries ``flow_key.reversed()`` as its (cached) flow key.
     """
+    reverse_key = flow_key.reversed()
     if pool is not None:
         return pool.acquire(
             src=flow_key.dst_address,
@@ -558,6 +599,7 @@ def make_reset(
                 request_id=request_id,
             ),
             created_at=created_at,
+            flow_key=reverse_key,
         )
     return Packet(
         src=flow_key.dst_address,
@@ -569,6 +611,7 @@ def make_reset(
             request_id=request_id,
         ),
         created_at=created_at,
+        flow_key=reverse_key,
     )
 
 

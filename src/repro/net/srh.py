@@ -86,6 +86,21 @@ class SegmentRoutingHeader:
         srh.segments_left = len(segments) - 1
         return srh
 
+    @classmethod
+    def for_candidates(
+        cls, candidates: Sequence[IPv6Address], final: IPv6Address
+    ) -> "SegmentRoutingHeader":
+        """The load balancer's header: ``candidates`` in turn, then ``final``.
+
+        Equal to ``from_traversal([*candidates, final])``, built directly
+        in RFC order (``[final, *reversed(candidates)]``) with the first
+        candidate active.
+        """
+        srh = cls.__new__(cls)
+        srh.segments = [final, *reversed(candidates)]
+        srh.segments_left = len(candidates)
+        return srh
+
     def copy(self) -> "SegmentRoutingHeader":
         """Independent copy (packets are duplicated when retransmitted).
 

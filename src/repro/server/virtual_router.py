@@ -30,7 +30,17 @@ from repro.core.service_hunting import (
 )
 from repro.errors import ServerError
 from repro.net.addressing import IPv6Address
-from repro.net.packet import PSH_ACK, SYN_ACK, Packet, TCPFlag, TCPSegment, make_reset
+from repro.net.packet import (
+    ACK_BIT,
+    PSH_ACK,
+    PSH_BIT,
+    RST_BIT,
+    SYN_ACK,
+    SYN_BIT,
+    Packet,
+    TCPSegment,
+    make_reset,
+)
 from repro.net.router import NetworkNode
 from repro.net.srh import SegmentRoutingHeader
 from repro.server.http_server import HTTPServerInstance, ServerConnection
@@ -131,10 +141,11 @@ class ServerNode(NetworkNode):
     # packet processing
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
-        if packet.srh is not None and not packet.srh.exhausted and self.owns(packet.dst):
-            if self._is_connection_request(packet):
+        srh = packet.srh
+        if srh is not None and srh.segments_left and self.owns(packet.dst):
+            if packet.tcp.flags._value_ & (SYN_BIT | ACK_BIT) == SYN_BIT:
                 # Service Hunting proper: the accept-or-forward choice only
-                # applies to the first packet of a flow (the SYN).
+                # applies to the first packet of a flow (a plain SYN).
                 decision = self.hunting.process(packet)
                 if decision is HuntingDecision.ACCEPT:
                     self._deliver_to_application(packet)
@@ -157,11 +168,6 @@ class ServerNode(NetworkNode):
             f"server {self.name!r} received a packet it does not own: "
             f"{packet.describe()}"
         )
-
-    @staticmethod
-    def _is_connection_request(packet: Packet) -> bool:
-        """Whether ``packet`` is the first packet of a flow (a plain SYN)."""
-        return packet.tcp.has(TCPFlag.SYN) and not packet.tcp.has(TCPFlag.ACK)
 
     def _handle_mid_flow_segment(self, packet: Packet) -> None:
         """Process a mid-flow packet whose active segment is this server.
@@ -189,13 +195,14 @@ class ServerNode(NetworkNode):
         """Translate a delivered packet into application-instance calls."""
         flow_key = packet.flow_key()
         tcp = packet.tcp
-        if tcp.has(TCPFlag.RST):
+        flags = tcp.flags._value_
+        if flags & RST_BIT:
             # Client aborted; nothing to do in the simplified model.
             return
-        if tcp.has(TCPFlag.SYN) and not tcp.has(TCPFlag.ACK):
+        if flags & (SYN_BIT | ACK_BIT) == SYN_BIT:
             self.app.handle_connection_request(flow_key, tcp.request_id)
             return
-        if tcp.payload_size > 0 or tcp.has(TCPFlag.PSH):
+        if tcp.payload_size > 0 or flags & PSH_BIT:
             if not self.app.handle_request_data(flow_key, tcp.request_id):
                 # No such connection here: answer with a RST, as a real
                 # kernel would.  Clients that already saw a RST for this
@@ -228,6 +235,9 @@ class ServerNode(NetworkNode):
         # The server's own segment is already "traversed" when the packet
         # leaves: advance once so the load balancer is the active segment.
         srh.advance()
+        # The reply direction of the connection's key (cached on it), so
+        # the load balancer learns the binding without building a key.
+        reply_key = flow_key.reversed()
         pool = self.packet_pool
         if pool is None:
             packet = Packet(
@@ -241,6 +251,7 @@ class ServerNode(NetworkNode):
                 ),
                 srh=srh,
                 created_at=self.simulator.now,
+                flow_key=reply_key,
             )
         else:
             packet = pool.acquire(
@@ -254,6 +265,7 @@ class ServerNode(NetworkNode):
                 ),
                 srh=srh,
                 created_at=self.simulator.now,
+                flow_key=reply_key,
             )
         self.send(packet)
 
@@ -271,6 +283,7 @@ class ServerNode(NetworkNode):
     def send_response(self, connection: ServerConnection, payload_size: int) -> None:
         """Send the HTTP response directly to the client (direct return)."""
         flow_key = connection.flow_key
+        reply_key = flow_key.reversed()
         pool = self.packet_pool
         if pool is None:
             packet = Packet(
@@ -284,6 +297,7 @@ class ServerNode(NetworkNode):
                     request_id=connection.request_id,
                 ),
                 created_at=self.simulator.now,
+                flow_key=reply_key,
             )
         else:
             packet = pool.acquire(
@@ -297,6 +311,7 @@ class ServerNode(NetworkNode):
                     request_id=connection.request_id,
                 ),
                 created_at=self.simulator.now,
+                flow_key=reply_key,
             )
         self.send(packet)
 

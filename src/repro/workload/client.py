@@ -25,7 +25,17 @@ from typing import Callable, Dict, List, Optional, Protocol
 
 from repro.errors import WorkloadError
 from repro.net.addressing import IPv6Address
-from repro.net.packet import PSH_ACK, Packet, TCPFlag, TCPSegment
+from repro.net.packet import (
+    ACK_BIT,
+    PSH_ACK,
+    PSH_BIT,
+    RST_BIT,
+    SYN_BIT,
+    FlowKey,
+    Packet,
+    TCPFlag,
+    TCPSegment,
+)
 from repro.net.router import NetworkNode
 from repro.net.tcp import EphemeralPortAllocator, HTTP_PORT
 from repro.sim.engine import EventHandle, Simulator
@@ -85,6 +95,9 @@ class _PendingQuery:
     request: Request
     outcome: RequestOutcome
     src_port: int
+    #: Flow key of the current attempt's connection, handed to every
+    #: packet of it; a retry's fresh source port replaces it.
+    flow_key: FlowKey
     #: Connection attempt number (0 = the original, bumped per retry).
     #: Stale timers and packets from earlier attempts check it and bail.
     attempt: int = 0
@@ -262,12 +275,19 @@ class TrafficGeneratorNode(NetworkNode):
             sent_at=self.simulator.now,
         )
         pending = _PendingQuery(
-            request=request, outcome=outcome, src_port=src_port
+            request=request,
+            outcome=outcome,
+            src_port=src_port,
+            flow_key=self._flow_key(src_port),
         )
         self._pending[request.request_id] = pending
         self.queries_started += 1
         self._send_syn(pending)
         self._arm_timers(pending)
+
+    def _flow_key(self, src_port: int) -> FlowKey:
+        """Key of the connection from ``src_port`` to the VIP."""
+        return FlowKey(self.primary_address, src_port, self.vip, HTTP_PORT)
 
     def _send_syn(self, pending: _PendingQuery) -> None:
         """(Re)send the SYN of ``pending``'s current connection attempt."""
@@ -283,6 +303,7 @@ class TrafficGeneratorNode(NetworkNode):
                     request_id=pending.request.request_id,
                 ),
                 created_at=self.simulator.now,
+                flow_key=pending.flow_key,
             )
         else:
             syn = pool.acquire(
@@ -295,6 +316,7 @@ class TrafficGeneratorNode(NetworkNode):
                     request_id=pending.request.request_id,
                 ),
                 created_at=self.simulator.now,
+                flow_key=pending.flow_key,
             )
         self.send(syn)
 
@@ -367,6 +389,7 @@ class TrafficGeneratorNode(NetworkNode):
         pending.outcome.established_at = None
         pending.syn_retransmits = 0
         pending.src_port = self._allocate_port(pending.request)
+        pending.flow_key = self._flow_key(pending.src_port)
         self.queries_retried += 1
         if self.flight_recorder is not None:
             self.flight_recorder.record(
@@ -409,11 +432,12 @@ class TrafficGeneratorNode(NetworkNode):
         if pending.attempt and tcp.dst_port != pending.src_port:
             return
 
-        if tcp.has(TCPFlag.RST):
+        flags = tcp.flags._value_
+        if flags & RST_BIT:
             self._finish(pending, failed=True, reason="connection reset")
             return
 
-        if tcp.has(TCPFlag.SYN) and tcp.has(TCPFlag.ACK):
+        if flags & (SYN_BIT | ACK_BIT) == SYN_BIT | ACK_BIT:
             if pending.syn_timer is not None:
                 pending.syn_timer.cancel()
                 pending.syn_timer = None
@@ -427,7 +451,7 @@ class TrafficGeneratorNode(NetworkNode):
                 self._send_request_data(pending)
             return
 
-        if tcp.payload_size > 0 or tcp.has(TCPFlag.PSH):
+        if tcp.payload_size > 0 or flags & PSH_BIT:
             pending.outcome.completed_at = self.simulator.now
             self._finish(pending, failed=False)
             return
@@ -468,6 +492,7 @@ class TrafficGeneratorNode(NetworkNode):
                     request_id=request_id,
                 ),
                 created_at=self.simulator.now,
+                flow_key=pending.flow_key,
             )
         else:
             probe = pool.acquire(
@@ -480,6 +505,7 @@ class TrafficGeneratorNode(NetworkNode):
                     request_id=request_id,
                 ),
                 created_at=self.simulator.now,
+                flow_key=pending.flow_key,
             )
         self.send(probe)
 
@@ -503,6 +529,7 @@ class TrafficGeneratorNode(NetworkNode):
                     request_id=pending.request.request_id,
                 ),
                 created_at=self.simulator.now,
+                flow_key=pending.flow_key,
             )
         else:
             data = pool.acquire(
@@ -516,6 +543,7 @@ class TrafficGeneratorNode(NetworkNode):
                     request_id=pending.request.request_id,
                 ),
                 created_at=self.simulator.now,
+                flow_key=pending.flow_key,
             )
         self.send(data)
 

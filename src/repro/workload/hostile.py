@@ -448,6 +448,7 @@ class SynFloodAttacker(NetworkNode):
                 flags=TCPFlag.SYN,
             ),
             created_at=self.simulator.now,
+            flow_key=flow,
         )
         self.send(syn)
         self.syns_sent += 1

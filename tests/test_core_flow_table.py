@@ -78,6 +78,10 @@ class TestExpiry:
         with pytest.raises(FlowTableError):
             FlowTable(idle_timeout=0.0)
 
+    def test_nan_timeout_rejected(self):
+        with pytest.raises(FlowTableError):
+            FlowTable(idle_timeout=float("nan"))
+
 
 class TestCapacity:
     def test_lru_eviction_when_full(self):

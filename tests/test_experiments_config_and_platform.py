@@ -1,6 +1,7 @@
 """Unit tests for experiment configuration, calibration and the testbed builder."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -44,6 +45,61 @@ class TestTestbedConfig:
             TestbedConfig(workers_per_server=0)
         with pytest.raises(ExperimentError):
             TestbedConfig(backlog_capacity=0)
+
+
+#: TestbedConfig's float (timing) fields; NaN is rejected in every one.
+FLOAT_FIELDS = (
+    "fabric_latency",
+    "flow_idle_timeout",
+    "request_spread",
+    "request_timeout",
+    "syn_retransmit_timeout",
+    "syn_retransmit_cap",
+    "retry_timeout",
+)
+
+
+class TestTestbedConfigNonFinite:
+    """A NaN compares false against every bound: without these checks it
+    passed the config and either disabled the feature silently or failed
+    mid-run."""
+
+    def test_the_list_names_every_float_field(self):
+        floats = {
+            f.name for f in dataclasses.fields(TestbedConfig) if f.type == "float"
+        }
+        assert floats == set(FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_nan_rejected_naming_the_field(self, name):
+        with pytest.raises(ExperimentError, match=name):
+            TestbedConfig(**{name: math.nan})
+
+    @pytest.mark.parametrize(
+        "name", [name for name in FLOAT_FIELDS if name != "syn_retransmit_cap"]
+    )
+    def test_infinity_rejected_naming_the_field(self, name):
+        with pytest.raises(ExperimentError, match=name):
+            TestbedConfig(**{name: math.inf})
+
+    def test_infinite_retransmit_cap_is_an_uncapped_backoff(self):
+        config = TestbedConfig(syn_retransmit_timeout=0.5, syn_retransmit_cap=math.inf)
+        assert config.syn_retransmit_cap == math.inf
+
+    @pytest.mark.parametrize("speed", [math.nan, math.inf])
+    def test_non_finite_speed_factor_rejected(self, speed):
+        with pytest.raises(ExperimentError, match="server_speed_factors"):
+            TestbedConfig(num_servers=2, server_speed_factors=(1.0, speed))
+
+    def test_negative_fabric_latency_rejected(self):
+        with pytest.raises(ExperimentError, match="fabric_latency"):
+            TestbedConfig(fabric_latency=-1e-6)
+        assert TestbedConfig(fabric_latency=0.0).fabric_latency == 0.0
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    def test_non_positive_flow_idle_timeout_rejected(self, timeout):
+        with pytest.raises(ExperimentError, match="flow_idle_timeout"):
+            TestbedConfig(flow_idle_timeout=timeout)
 
 
 class TestPolicySpecs:

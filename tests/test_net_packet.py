@@ -9,8 +9,10 @@ from repro.net.packet import (
     TCP_HEADER_SIZE,
     FlowKey,
     Packet,
+    PacketPool,
     TCPFlag,
     TCPSegment,
+    make_reset,
     make_syn,
     reply_ports,
 )
@@ -219,6 +221,48 @@ class TestFlowKeyCache:
         assert packet.flow_key().dst_address == _addr("fd00:300::2")
         assert packet.flow_key() != before
 
+    def test_attach_srh_with_the_same_final_segment_keeps_the_key(self):
+        # The load balancer's case: the VIP stays the final segment.
+        packet = self._packet()
+        before = packet.flow_key()
+        packet.attach_srh(self._srh())
+        assert packet.flow_key() is before
+        assert packet.flow_key() == _fresh_flow_key(packet)
+
+    def test_seeded_key_is_the_cached_key(self):
+        key = FlowKey(_addr("fd00:200::1"), 1234, _addr("fd00:300::1"), 80)
+        packet = Packet(
+            src=_addr("fd00:200::1"),
+            dst=_addr("fd00:300::1"),
+            tcp=TCPSegment(src_port=1234, dst_port=80, flags=TCPFlag.SYN),
+            flow_key=key,
+        )
+        assert packet.flow_key() is key
+        assert key == _fresh_flow_key(packet)
+
+    def test_pooled_packet_takes_the_seeded_key_on_reuse(self):
+        pool = PacketPool()
+        key = FlowKey(_addr("fd00:200::1"), 1234, _addr("fd00:300::1"), 80)
+        first = pool.acquire(
+            _addr("fd00:200::1"), _addr("fd00:300::1"), TCPSegment(1234, 80)
+        )
+        first.flow_key()
+        pool.release(first)
+        again = pool.acquire(
+            _addr("fd00:200::1"),
+            _addr("fd00:300::1"),
+            TCPSegment(1234, 80),
+            flow_key=key,
+        )
+        assert again is first
+        assert again.flow_key() is key
+
+    def test_reset_carries_the_reverse_key(self):
+        key = FlowKey(_addr("fd00:200::1"), 1234, _addr("fd00:300::1"), 80)
+        reset = make_reset(key, request_id=7)
+        assert reset.flow_key() is key.reversed()
+        assert reset.flow_key() == _fresh_flow_key(reset)
+
     def test_advance_and_set_segments_left_preserve_the_key(self):
         packet = self._packet()
         packet.attach_srh(self._srh())
@@ -242,6 +286,16 @@ class TestFlowKeyCache:
         packet.dst = _addr("fd00:200::9")
         assert packet.flow_key() == _fresh_flow_key(packet)
         assert packet.flow_key().dst_address == _addr("fd00:200::9")
+
+    def test_dst_assignment_under_an_srh_keeps_the_key(self):
+        # The tier's SYN-ACK relay readdresses the active segment only.
+        packet = self._packet()
+        packet.attach_srh(self._srh())
+        key = packet.flow_key()
+        packet.srh.segments[packet.srh.segments_left] = _addr("fd00:400::7")
+        packet.dst = _addr("fd00:400::7")
+        assert packet.flow_key() is key
+        assert key == _fresh_flow_key(packet)
 
     def test_copy_is_cache_independent(self):
         packet = self._packet()

@@ -23,6 +23,20 @@ class TestConstruction:
         srh = SegmentRoutingHeader.from_traversal(path)
         assert list(srh.traversal_order()) == path
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 8])
+    def test_for_candidates_equals_from_traversal(self, count):
+        candidates = [_addr(index) for index in range(1, count + 1)]
+        vip = _addr(0xFFFF)
+        srh = SegmentRoutingHeader.for_candidates(candidates, vip)
+        assert srh == SegmentRoutingHeader.from_traversal(candidates + [vip])
+        assert srh.active_segment == candidates[0]
+        assert srh.final_segment == vip
+
+    def test_for_candidates_accepts_a_tuple(self):
+        srh = SegmentRoutingHeader.for_candidates((_addr(1),), _addr(2))
+        assert srh.segments == [_addr(2), _addr(1)]
+        assert srh.segments_left == 1
+
     def test_empty_traversal_rejected(self):
         with pytest.raises(SegmentRoutingError):
             SegmentRoutingHeader.from_traversal([])

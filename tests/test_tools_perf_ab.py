@@ -92,3 +92,61 @@ class TestSummary:
         assert text.splitlines()[0] == "== ecmp-chaos"
         assert any(line.startswith("wall_s") for line in text.splitlines())
         assert any(line.startswith("completed_frac") for line in text.splitlines())
+
+
+class TestVerdict:
+    def test_clear_speedup_is_a_gain(self, perf_ab):
+        row = perf_ab.summarize(BASE, [v * 0.8 for v in BASE], "lower", bound=0.2)
+        assert row["verdict"] == "gain"
+
+    def test_gain_in_a_higher_is_better_metric(self, perf_ab):
+        row = perf_ab.summarize(BASE, [v * 1.2 for v in BASE], "higher")
+        assert row["verdict"] == "gain"
+
+    def test_eight_wins_in_ten_is_noise(self, perf_ab):
+        head = [v * 0.8 for v in BASE]
+        head[0] = BASE[0] * 1.01
+        head[1] = BASE[1] * 1.01
+        row = perf_ab.summarize(BASE, head, "lower", bound=0.2)
+        assert row["wins_b"] == 8
+        assert row["verdict"] == "noise"
+
+    def test_nine_wins_in_ten_is_enough(self, perf_ab):
+        head = [v * 0.8 for v in BASE]
+        head[0] = BASE[0] * 1.01
+        row = perf_ab.summarize(BASE, head, "lower", bound=0.2)
+        assert row["wins_b"] == 9
+        assert row["verdict"] == "gain"
+
+    def test_a_gap_within_the_base_iqr_is_noise(self, perf_ab):
+        # B wins every pair, but by less than A's own spread.
+        row = perf_ab.summarize(BASE, [v - 0.01 for v in BASE], "lower")
+        assert row["wins_b"] == 10
+        assert row["iqr_a"] > 0.01
+        assert row["verdict"] == "noise"
+
+    def test_worse_than_the_bound(self, perf_ab):
+        row = perf_ab.summarize(BASE, [v * 1.3 for v in BASE], "lower", bound=0.2)
+        assert row["verdict"] == "worse"
+
+    def test_worse_but_within_the_bound_is_noise(self, perf_ab):
+        row = perf_ab.summarize(BASE, [v * 1.1 for v in BASE], "lower", bound=0.2)
+        assert row["verdict"] == "noise"
+
+    def test_worse_in_a_higher_is_better_metric(self, perf_ab):
+        row = perf_ab.summarize([1.0] * 4, [0.95] * 4, "higher", bound=0.01)
+        assert row["verdict"] == "worse"
+
+    def test_no_bound_never_reads_worse(self, perf_ab):
+        row = perf_ab.summarize(BASE, [v * 3.0 for v in BASE], "lower")
+        assert row["verdict"] == "noise"
+
+    def test_identical_samples_are_noise(self, perf_ab):
+        row = perf_ab.summarize(BASE, list(BASE), "lower", bound=0.2)
+        assert row["verdict"] == "noise"
+
+    def test_render_shows_the_verdict(self, perf_ab):
+        rows = {"wall_s": perf_ab.summarize(BASE, [v * 0.8 for v in BASE], "lower")}
+        line = perf_ab.render("paper-poisson", rows).splitlines()[2]
+        assert line.startswith("wall_s")
+        assert line.endswith("gain")

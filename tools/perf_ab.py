@@ -19,8 +19,15 @@ aborts the comparison.
 
 Per metric the report gives both medians, the base's interquartile
 range, how many pairs B won (by the metric's ``better`` direction in
-``BENCHMARK.json``), and the median of the per-pair ratios B/A with a
-seeded bootstrap 95% confidence interval.
+``BENCHMARK.json``), the median of the per-pair ratios B/A with a
+seeded bootstrap 95% confidence interval, and a verdict:
+
+* ``gain`` -- B won at least 9 pairs in 10 and the medians differ, in
+  B's favour, by more than A's interquartile range;
+* ``worse`` -- B's median is worse than A's by more than the metric's
+  ``bound`` in ``BENCHMARK.json``, a fraction of A's median (only
+  metrics that declare a bound, the end-to-end ones, can get it);
+* ``noise`` -- anything else.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Bootstrap resamples per confidence interval.
 RESAMPLES = 2000
+
+#: Share of pairs B must win for a ``gain`` verdict.
+GAIN_WIN_SHARE = 0.9
 
 
 # ----------------------------------------------------------------------
@@ -97,10 +107,37 @@ def bootstrap_ratio_ci(
     return low, high
 
 
+def verdict(summary: Dict[str, Any], bound: Optional[float] = None) -> str:
+    """``gain``, ``worse`` or ``noise`` for one :func:`summarize` row.
+
+    ``bound`` is the metric's relative bound from ``BENCHMARK.json``
+    (``0.2`` = B's median may be up to 20% of A's median worse); without
+    one the verdict is never ``worse``.
+    """
+    median_a = summary["median_a"]
+    # Positive when B's median is better than A's.
+    advantage = summary["median_b"] - median_a
+    if summary["better"] == "lower":
+        advantage = -advantage
+    if (
+        "iqr_a" in summary
+        and summary["wins_b"] >= GAIN_WIN_SHARE * summary["pairs"]
+        and advantage > summary["iqr_a"]
+    ):
+        return "gain"
+    if bound is not None and -advantage > bound * abs(median_a):
+        return "worse"
+    return "noise"
+
+
 def summarize(
-    base: Sequence[float], head: Sequence[float], better: str, seed: int = 0
+    base: Sequence[float],
+    head: Sequence[float],
+    better: str,
+    seed: int = 0,
+    bound: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Medians, base IQR, wins and the ratio with its bootstrap CI."""
+    """Medians, base IQR, wins, the ratio with its bootstrap CI, a verdict."""
     summary: Dict[str, Any] = {
         "pairs": len(base),
         "median_a": statistics.median(base),
@@ -117,6 +154,7 @@ def summarize(
     if ratios:
         summary["ratio"] = statistics.median(ratios)
         summary["ratio_ci95"] = bootstrap_ratio_ci(base, head, seed)
+    summary["verdict"] = verdict(summary, bound)
     return summary
 
 
@@ -153,10 +191,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
-def directions(spec: Dict[str, Any], trace: int) -> Dict[str, str]:
-    """Metric name -> ``better`` direction, from ``BENCHMARK.json``."""
-    section = spec["per_layer"] if trace else spec["end_to_end"]
-    return {metric["name"]: metric["better"] for metric in section}
+def declared_metrics(spec: Dict[str, Any], trace: int) -> List[Dict[str, Any]]:
+    """The ``BENCHMARK.json`` metric entries a run of this kind reports."""
+    return spec["per_layer"] if trace else spec["end_to_end"]
 
 
 def compare(spec: Dict[str, Any], base_dir: Path, workload: str, pairs: int,
@@ -171,12 +208,14 @@ def compare(spec: Dict[str, Any], base_dir: Path, workload: str, pairs: int,
             samples.append(run_once(checkout, workload, seed + index, seconds, trace))
         print(f"  {workload}: pair {index + 1}/{pairs} done", file=sys.stderr)
     summaries = {}
-    for name, better in directions(spec, trace).items():
+    for metric in declared_metrics(spec, trace):
+        name = metric["name"]
         if name not in samples_a[0]:
             continue
         a = [sample[name] for sample in samples_a]
         b = [sample[name] for sample in samples_b]
-        summaries[name] = summarize(a, b, better, seed)
+        summaries[name] = summarize(
+            a, b, metric["better"], seed, metric.get("bound"))
     return summaries
 
 
@@ -184,7 +223,7 @@ def render(workload: str, summaries: Dict[str, Dict[str, Any]]) -> str:
     lines = [
         f"== {workload}",
         f"{'metric':34s} {'median A':>11s} {'median B':>11s} {'IQR A':>9s} "
-        f"{'B wins':>7s} {'B/A':>7s}  95% CI",
+        f"{'B wins':>7s} {'B/A':>7s}  {'95% CI':16s} verdict",
     ]
     for name, row in summaries.items():
         ci = row.get("ratio_ci95")
@@ -194,7 +233,7 @@ def render(workload: str, summaries: Dict[str, Dict[str, Any]]) -> str:
         lines.append(
             f"{name:34s} {row['median_a']:11.5g} {row['median_b']:11.5g} "
             f"{iqr:>9s} {row['wins_b']:>3d}/{row['pairs']:<3d} {ratio:>7s}  "
-            f"{ci_text}"
+            f"{ci_text:16s} {row['verdict']}"
         )
     return "\n".join(lines)
 
